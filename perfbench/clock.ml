@@ -1,0 +1,2 @@
+(* Monotonic wall clock in integer nanoseconds. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
