@@ -114,11 +114,9 @@ let time_once f =
   f ();
   Unix.gettimeofday () -. t0
 
-(* Mean wall-clock milliseconds to compute all l·k = 100 min-hashes of one
-   range, by direct evaluation (no domain cache) — the quantity the paper
-   plots. Repetitions adapt so fast families still get stable numbers. *)
-let hash_time_ms scheme range =
-  let once () = ignore (Lsh.Scheme.identifiers_of_range scheme range : int list) in
+(* Mean wall-clock milliseconds per call of [once]. Repetitions adapt so
+   fast kernels still get stable numbers. *)
+let time_ms once =
   once () (* warm-up *);
   let reps = ref 1 and elapsed = ref (time_once once) in
   while !elapsed < 0.05 do
@@ -131,28 +129,90 @@ let hash_time_ms scheme range =
 
 let fig5_sizes = [ 10; 50; 100; 200; 400; 600; 800; 1000; 1200; 1500 ]
 
-let fig5 () =
-  (* Values up to 1500 need a universe beyond the quality domain. *)
-  let universe = 2048 in
+(* Ranges start off zero: a bit network fixes 0, so every range holding 0
+   min-hashes to 0 and the compiled-vs-reference check would be vacuous.
+   The largest range still ends inside the linear family's universe. *)
+let fig5_universe = 2048
+let fig5_range size = Range.make ~lo:547 ~hi:(547 + size - 1)
+
+let reference_min perm range =
+  Range.fold_values
+    (fun best v -> Stdlib.min best (Lsh.Bit_perm.apply_reference perm v))
+    max_int range
+
+let compiled_min perm range =
+  Lsh.Bit_perm.range_min perm ~lo:(Range.lo range) ~hi:(Range.hi range)
+
+(* The l·k = 100 functions of each family, drawn in the order
+   Scheme.create would draw them: the two bit networks first, as bare
+   permutations so both evaluators can run them. *)
+let fig5_families () =
   let rng = Prng.Splitmix.create seed in
-  let schemes =
-    List.map
-      (fun kind -> (kind, Lsh.Scheme.create ~universe kind ~k:20 ~l:5 rng))
-      Lsh.Family.all_kinds
+  let networks ?levels () =
+    Array.init 100 (fun _ -> Lsh.Bit_perm.random ~bits:32 ?levels rng)
+  in
+  let exact = networks () in
+  let approx = networks ~levels:1 () in
+  let linear =
+    Lsh.Scheme.create ~universe:fig5_universe Lsh.Family.Linear ~k:20 ~l:5 rng
+  in
+  (exact, approx, linear)
+
+(* Each column computes all 100 min-hashes of one range. The paper's
+   columns evaluate the bit networks level by level at every value, the
+   quantity its Figure 5 plots; the compiled columns are what the program
+   runs. *)
+let fig5_columns (exact, approx, linear) =
+  let all_mins min_of perms range () =
+    Array.iter (fun perm -> ignore (min_of perm range : int)) perms
+  in
+  [
+    ("min-wise", all_mins reference_min exact);
+    ("approx-min-wise", all_mins reference_min approx);
+    ( "linear",
+      fun range () ->
+        ignore (Lsh.Scheme.identifiers_of_range linear range : int list) );
+    ("min-wise compiled", all_mins compiled_min exact);
+    ("approx compiled", all_mins compiled_min approx);
+  ]
+
+(* The run exits 1 if a compiled min-hash differs from the reference for
+   any (size, function) pair it times. *)
+let fig5 () =
+  let ((exact, approx, _) as families) = fig5_families () in
+  let columns = fig5_columns families in
+  let checked = ref 0 in
+  let check_compiled size range =
+    Array.iteri
+      (fun i perm ->
+        let expected = reference_min perm range in
+        let got = compiled_min perm range in
+        incr checked;
+        if got <> expected then begin
+          Format.eprintf
+            "fig5: compiled min-hash %d differs from the reference %d \
+             (size %d, %s function %d)@."
+            got expected size
+            (if Lsh.Bit_perm.levels perm = 1 then "approx" else "min-wise")
+            i;
+          exit 1
+        end)
   in
   let table =
     Stats.Table.create
       ~columns:
         (("range size", Stats.Table.Right)
         :: List.map
-             (fun kind -> (Lsh.Family.kind_name kind ^ " (ms)", Stats.Table.Right))
-             Lsh.Family.all_kinds)
+             (fun (name, _) -> (name ^ " (ms)", Stats.Table.Right))
+             columns)
   in
   let measurements =
     List.map
       (fun size ->
-        let range = Range.make ~lo:0 ~hi:(size - 1) in
-        (size, List.map (fun (_, scheme) -> hash_time_ms scheme range) schemes))
+        let range = fig5_range size in
+        check_compiled size range exact;
+        check_compiled size range approx;
+        (size, List.map (fun (_, time) -> time_ms (time range)) columns))
       fig5_sizes
   in
   List.iter
@@ -178,35 +238,31 @@ let fig5 () =
          series_for 0 "min-wise" 'm';
          series_for 1 "approx-min-wise" 'a';
          series_for 2 "linear" 'l';
+         series_for 3 "min-wise compiled" 'c';
        ]);
   (* Headline ratios at size 1000, as the paper reports ("linear ~1000x,
      approx ~10x faster than min-wise"). *)
-  let at_1000 kind =
-    hash_time_ms (List.assoc kind schemes) (Range.make ~lo:0 ~hi:999)
-  in
-  let exact = at_1000 Lsh.Family.Exact_minwise in
-  let approx = at_1000 Lsh.Family.Approx_minwise in
-  let linear = at_1000 Lsh.Family.Linear in
+  let at_1000 = Array.of_list (List.assoc 1000 measurements) in
   Format.printf
     "speedup vs min-wise at size 1000: approx %.1fx, linear %.1fx@."
-    (exact /. approx) (exact /. linear)
+    (at_1000.(0) /. at_1000.(1)) (at_1000.(0) /. at_1000.(2));
+  Format.printf
+    "compiled at size 1000: min-wise %.0fx, approx %.0fx faster than the \
+     level-by-level network@."
+    (at_1000.(0) /. at_1000.(3)) (at_1000.(1) /. at_1000.(4));
+  Format.printf
+    "compiled min-hash = reference for all %d (size, function) pairs@."
+    !checked
 
-(* Bechamel micro-benchmarks for the same operation (size 1000), giving
+(* Bechamel micro-benchmarks for the same columns (size 1000), giving
    OLS-estimated per-call times with GC stabilization. *)
 let fig5_bechamel () =
   let open Bechamel in
-  let universe = 2048 in
-  let rng = Prng.Splitmix.create seed in
-  let range = Range.make ~lo:0 ~hi:999 in
+  let range = fig5_range 1000 in
   let tests =
     List.map
-      (fun kind ->
-        let scheme = Lsh.Scheme.create ~universe kind ~k:20 ~l:5 rng in
-        Test.make
-          ~name:(Lsh.Family.kind_name kind)
-          (Staged.stage (fun () ->
-               ignore (Lsh.Scheme.identifiers_of_range scheme range : int list))))
-      Lsh.Family.all_kinds
+      (fun (name, time) -> Test.make ~name (Staged.stage (time range)))
+      (fig5_columns (fig5_families ()))
   in
   let grouped = Test.make_grouped ~name:"hash-range-1000" tests in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in

@@ -4,7 +4,9 @@
                       knob exposed: family, matching, padding, k, l, queries.
    `repro load`     — figure 11 (partitions per node).
    `repro paths`    — figure 12 (lookup path lengths).
-   `repro hash`     — figure 5 (hash timing) for chosen range sizes.
+   `repro hash`     — the program's min-hash cost per family for chosen
+                      range sizes (compiled bit networks; the `fig5` bench
+                      section times the paper's level-by-level network).
    `repro amplify`  — print the 1-(1-p^k)^l acceptance curve.
 
    All experiments are deterministic in --seed. *)
@@ -275,7 +277,10 @@ let hash_cmd =
            & info [ "sizes" ] ~docv:"SIZES" ~doc:"Range sizes to time.")
   in
   Cmd.v
-    (Cmd.info "hash" ~doc:"Hash-family execution time vs range size (Figure 5).")
+    (Cmd.info "hash"
+       ~doc:
+         "Hash-family execution time vs range size, as the program hashes \
+          (the fig5 bench section times the paper's Figure 5 evaluator).")
     Term.(const run_hash $ seed_t $ sizes_t)
 
 (* --- latency command (timed replay) --- *)

@@ -1,7 +1,8 @@
 (** O(1) range-min-hash over a fixed contiguous attribute domain.
 
-    Direct min-hashing walks every value of the queried range for each of
-    the [l·k] functions, which is what the paper times in Figure 5. The
+    Direct min-hashing costs, per function, one evaluation per value of the
+    queried range for the linear family and up to 33 compiled-table
+    evaluations for the bit networks ({!Bit_perm.range_min}). The
     quality and scalability experiments, however, issue tens of thousands of
     queries over a small attribute domain (\[0, 1000\]); for those this
     cache precomputes, per hash function, a sparse table of prefix minima of

@@ -55,24 +55,24 @@ let apply fn v =
     table.(v)
 
 let minhash_range fn range =
-  let best = ref max_int in
-  Rangeset.Range.iter_values
-    (fun v ->
+  let lo = Rangeset.Range.lo range and hi = Rangeset.Range.hi range in
+  match fn with
+  | Bit p -> Bit_perm.range_min p ~lo ~hi
+  | Lin _ | Tab _ ->
+    let best = ref max_int in
+    for v = lo to hi do
       let h = apply fn v in
-      if h < !best then best := h)
-    range;
-  !best
+      if h < !best then best := h
+    done;
+    !best
 
 let minhash_set fn set =
-  if Rangeset.Range_set.is_empty set then
-    invalid_arg "Family.minhash_set: empty set";
-  let best = ref max_int in
-  Rangeset.Range_set.iter
-    (fun v ->
-      let h = apply fn v in
-      if h < !best then best := h)
-    set;
-  !best
+  match Rangeset.Range_set.ranges set with
+  | [] -> invalid_arg "Family.minhash_set: empty set"
+  | ranges ->
+    List.fold_left
+      (fun best range -> Stdlib.min best (minhash_range fn range))
+      max_int ranges
 
 (* Wire format: "b<bits>:<key>,<key>,…" for bit networks (hex keys, level 0
    first) and "l<p>:<a>:<b>" for linear permutations. Single tokens with no

@@ -42,12 +42,18 @@ val apply : fn -> int -> int
     linear family's prime field and the 32-bit families alike). *)
 
 val minhash_range : fn -> Rangeset.Range.t -> int
-(** [min { apply fn v : v ∈ range }] by direct iteration over the range's
-    values — the cost the paper measures in Figure 5. *)
+(** [min { apply fn v : v ∈ range }]. Bit networks use
+    {!Bit_perm.range_min}: the range's aligned blocks, at most 33 table
+    evaluations whatever its size, and no allocation. The linear and
+    tabulated families iterate over the range's values. The paper's
+    Figure 5 cost is the bit networks evaluated level by level at every
+    value ({!Bit_perm.apply_reference}).
+    @raise Invalid_argument if the range leaves the function's domain. *)
 
 val minhash_set : fn -> Rangeset.Range_set.t -> int
-(** Same over a general value set. @raise Invalid_argument on the empty
-    set (the min-hash of nothing is undefined). *)
+(** The least {!minhash_range} over the set's maximal ranges.
+    @raise Invalid_argument on the empty set (the min-hash of nothing is
+    undefined). *)
 
 val serialize : fn -> string
 (** Compact single-token encoding of the function's key material (every

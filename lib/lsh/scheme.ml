@@ -35,8 +35,8 @@ let identifier_of_group combine group minhash =
     Array.fold_left (fun acc fn -> acc + minhash fn) 0 group land mask32
 
 (* Per-(k,l)-group spans live behind an explicit [Trace.enabled] guard:
-   this loop is the figure-5 timing kernel, so the disabled path must not
-   even allocate the span closures. *)
+   this loop is the hashing hot path, so the disabled path must not even
+   allocate the span closures. *)
 let traced_groups t minhash =
   List.init t.l (fun gi ->
       Obs.Trace.with_span "lsh.group" (fun () ->

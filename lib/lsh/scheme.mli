@@ -42,8 +42,8 @@ val functions : t -> Family.fn array array
 
 val identifiers_of_range : t -> Rangeset.Range.t -> int list
 (** The [l] 32-bit group identifiers of a contiguous range, by direct
-    evaluation of all [l·k] min-hashes (cost grows linearly in the range
-    width — this is what Figure 5 times). *)
+    evaluation of all [l·k] min-hashes with {!Family.minhash_range} (cost
+    grows linearly in the range width for the linear family only). *)
 
 val identifiers_of_set : t -> Rangeset.Range_set.t -> int list
 (** Same for a general non-empty value set. *)

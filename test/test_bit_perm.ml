@@ -66,9 +66,113 @@ let key_validation () =
 let apply_domain_check () =
   let rng = Prng.Splitmix.create 5L in
   let perm = Lsh.Bit_perm.random ~bits:8 rng in
-  Alcotest.check_raises "value too wide"
-    (Invalid_argument "Bit_perm.apply: value outside the permuted domain")
-    (fun () -> ignore (Lsh.Bit_perm.apply perm 256))
+  let outside =
+    Invalid_argument "Bit_perm.apply: value outside the permuted domain"
+  in
+  Alcotest.check_raises "value too wide" outside (fun () ->
+      ignore (Lsh.Bit_perm.apply perm 256));
+  Alcotest.check_raises "reference: value too wide" outside (fun () ->
+      ignore (Lsh.Bit_perm.apply_reference perm 256));
+  Alcotest.check_raises "range: hi too wide" outside (fun () ->
+      ignore (Lsh.Bit_perm.range_min perm ~lo:200 ~hi:256));
+  Alcotest.check_raises "range: lo negative" outside (fun () ->
+      ignore (Lsh.Bit_perm.range_min perm ~lo:(-1) ~hi:3));
+  let wide = Lsh.Bit_perm.random ~bits:32 rng in
+  Alcotest.check_raises "range: hi past 2^32 - 1" outside (fun () ->
+      ignore (Lsh.Bit_perm.range_min wide ~lo:((1 lsl 32) - 4) ~hi:(1 lsl 32)));
+  Alcotest.check_raises "range: empty"
+    (Invalid_argument "Bit_perm.range_min: empty range") (fun () ->
+      ignore (Lsh.Bit_perm.range_min perm ~lo:5 ~hi:4))
+
+(* The compiled tables against the level-by-level network, for every width
+   and level count: exhaustively up to 16 bits; at 32 bits on every unit
+   vector (which fixes the bit permutation) plus random values. *)
+let compiled_matches_reference () =
+  let rng = Prng.Splitmix.create 11L in
+  List.iter
+    (fun bits ->
+      let full = Lsh.Bit_perm.levels (Lsh.Bit_perm.random ~bits rng) in
+      for levels = 1 to full do
+        let perm = Lsh.Bit_perm.random ~bits ~levels rng in
+        let check x =
+          if Lsh.Bit_perm.apply perm x <> Lsh.Bit_perm.apply_reference perm x
+          then
+            Alcotest.failf "bits %d, levels %d: compiled differs at %d" bits
+              levels x
+        in
+        if bits <= 16 then
+          for x = 0 to (1 lsl bits) - 1 do
+            check x
+          done
+        else begin
+          for i = 0 to bits - 1 do
+            check (1 lsl i)
+          done;
+          check 0;
+          check ((1 lsl bits) - 1);
+          for _ = 1 to 10_000 do
+            check (Prng.Splitmix.int rng (1 lsl bits))
+          done
+        end
+      done)
+    [ 2; 4; 8; 16; 32 ]
+
+let reference_min perm ~lo ~hi =
+  let best = ref max_int in
+  for x = lo to hi do
+    best := Stdlib.min !best (Lsh.Bit_perm.apply_reference perm x)
+  done;
+  !best
+
+(* Every range of an 8-bit domain, by a running minimum per left end. *)
+let range_min_exhaustive_8bit () =
+  let rng = Prng.Splitmix.create 12L in
+  List.iter
+    (fun levels ->
+      let perm = Lsh.Bit_perm.random ~bits:8 ~levels rng in
+      for lo = 0 to 255 do
+        let best = ref max_int in
+        for hi = lo to 255 do
+          best := Stdlib.min !best (Lsh.Bit_perm.apply_reference perm hi);
+          if Lsh.Bit_perm.range_min perm ~lo ~hi <> !best then
+            Alcotest.failf "levels %d: range [%d, %d]" levels lo hi
+        done
+      done)
+    [ 1; 2; 3 ]
+
+(* 32-bit ranges against a fold of the reference: random ones, ranges that
+   straddle 16-aligned blocks, single values, and both ends of the domain. *)
+let range_min_matches_reference_32bit () =
+  let rng = Prng.Splitmix.create 13L in
+  let top = (1 lsl 32) - 1 in
+  List.iter
+    (fun levels ->
+      let perm = Lsh.Bit_perm.random ~bits:32 ~levels rng in
+      let check lo hi =
+        Alcotest.(check int)
+          (Printf.sprintf "levels %d, [%d, %d]" levels lo hi)
+          (reference_min perm ~lo ~hi)
+          (Lsh.Bit_perm.range_min perm ~lo ~hi)
+      in
+      for _ = 1 to 200 do
+        let lo = Prng.Splitmix.int rng (top - 2000) in
+        check lo (lo + Prng.Splitmix.int rng 2000)
+      done;
+      for _ = 1 to 50 do
+        let base = 16 * Prng.Splitmix.int rng (1 lsl 27) in
+        check (base + 15) (base + 16);
+        check (base + 9) (base + 40);
+        check base base;
+        let x = Prng.Splitmix.int rng (top + 1) in
+        check x x
+      done;
+      List.iter
+        (fun (lo, hi) -> check lo hi)
+        [
+          (0, 0); (0, 17); (1, 300); (top, top); (top - 300, top);
+          (top - 16, top - 1);
+        ])
+    [ 1; 5 ]
 
 let identity_distinct_keys () =
   (* Two different random permutations should disagree somewhere (sanity
@@ -112,5 +216,11 @@ let suite =
       apply_domain_check;
     Alcotest.test_case "distinct draws give distinct permutations" `Quick
       identity_distinct_keys;
+    Alcotest.test_case "compiled apply equals the level-by-level network"
+      `Quick compiled_matches_reference;
+    Alcotest.test_case "range_min over every 8-bit range" `Quick
+      range_min_exhaustive_8bit;
+    Alcotest.test_case "range_min equals a reference fold at 32 bits" `Quick
+      range_min_matches_reference_32bit;
     QCheck_alcotest.to_alcotest prop_full_32bit_injective_on_sample;
   ]

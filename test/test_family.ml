@@ -8,19 +8,33 @@ let mk lo hi = Range.make ~lo ~hi
 
 let minhash_is_min_of_applies () =
   let rng = Prng.Splitmix.create 1L in
+  let top = (1 lsl 32) - 1 in
+  let bit_only =
+    [ mk (top - 40) top; mk 0xFFFF0 0x100011; mk (top - 1) (top - 1) ]
+  in
   List.iter
     (fun kind ->
       let fn = Lsh.Family.create ~universe:1001 kind rng in
-      let r = mk 30 50 in
-      let expected =
-        List.fold_left
-          (fun acc v -> Stdlib.min acc (Lsh.Family.apply fn v))
-          max_int (Range.to_values r)
+      let ranges =
+        [ mk 30 50; mk 0 0; mk 15 16; mk 7 100; mk 1000 1000 ]
+        @
+        match kind with
+        | Lsh.Family.Exact_minwise | Lsh.Family.Approx_minwise -> bit_only
+        | Lsh.Family.Linear | Lsh.Family.Random_tabulated -> []
       in
-      Alcotest.(check int)
-        (Lsh.Family.kind_name kind)
-        expected
-        (Lsh.Family.minhash_range fn r))
+      List.iter
+        (fun r ->
+          let expected =
+            List.fold_left
+              (fun acc v -> Stdlib.min acc (Lsh.Family.apply fn v))
+              max_int (Range.to_values r)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s" (Lsh.Family.kind_name kind)
+               (Range.to_string r))
+            expected
+            (Lsh.Family.minhash_range fn r))
+        ranges)
     (Lsh.Family.all_kinds @ [ Lsh.Family.Random_tabulated ])
 
 let minhash_set_matches_range () =
@@ -29,7 +43,41 @@ let minhash_set_matches_range () =
   let r = mk 100 200 in
   Alcotest.(check int) "set of one range equals range"
     (Lsh.Family.minhash_range fn r)
-    (Lsh.Family.minhash_set fn (RS.of_range r))
+    (Lsh.Family.minhash_set fn (RS.of_range r));
+  let a = mk 3 9 and b = mk 40 45 in
+  Alcotest.(check int) "set of two ranges is the lesser range min-hash"
+    (Stdlib.min (Lsh.Family.minhash_range fn a) (Lsh.Family.minhash_range fn b))
+    (Lsh.Family.minhash_set fn (RS.of_ranges [ a; b ]))
+
+let minhash_range_outside_domain () =
+  let rng = Prng.Splitmix.create 22L in
+  let fn = Lsh.Family.create Lsh.Family.Exact_minwise rng in
+  let outside =
+    Invalid_argument "Bit_perm.apply: value outside the permuted domain"
+  in
+  Alcotest.check_raises "hi past 2^32 - 1" outside (fun () ->
+      ignore (Lsh.Family.minhash_range fn (mk ((1 lsl 32) - 2) (1 lsl 32))));
+  Alcotest.check_raises "negative lo" outside (fun () ->
+      ignore (Lsh.Family.minhash_range fn (mk (-3) 10)))
+
+let minhash_range_allocates_nothing () =
+  let rng = Prng.Splitmix.create 23L in
+  List.iter
+    (fun kind ->
+      let fn = Lsh.Family.create kind rng in
+      let r = mk 1234 98_765 in
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Lsh.Family.minhash_range fn r))
+      done;
+      let after = Gc.minor_words () in
+      (* Slop covers the boxed floats the two Gc.minor_words calls return. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: delta %.0f words" (Lsh.Family.kind_name kind)
+           (after -. before))
+        true
+        (after -. before <= 16.0))
+    [ Lsh.Family.Exact_minwise; Lsh.Family.Approx_minwise ]
 
 let minhash_empty_set_rejected () =
   let rng = Prng.Splitmix.create 3L in
@@ -156,6 +204,10 @@ let suite =
       minhash_set_matches_range;
     Alcotest.test_case "minhash of empty set rejected" `Quick
       minhash_empty_set_rejected;
+    Alcotest.test_case "minhash rejects ranges outside the domain" `Quick
+      minhash_range_outside_domain;
+    Alcotest.test_case "bit-network minhash allocates nothing" `Quick
+      minhash_range_allocates_nothing;
     Alcotest.test_case "kind_of_fn round-trips" `Quick kind_of_fn_roundtrip;
     Alcotest.test_case "kind names round-trip" `Quick kind_names_roundtrip;
     Alcotest.test_case "tabulated family requires a universe" `Quick
