@@ -1946,7 +1946,11 @@ let chaos_bench () =
      system. The chaos curve dips at the partition mark and reconverges
      with the twin after repair — the change-point gates in check_bench
      and timeline.exe read exactly this pair of series. *)
-  let s_chaos_recall = Obs.Series.histo ~labels:[ "sys" ] "chaos.recall" in
+  let h_chaos_recall =
+    Obs.Metrics.histogram ~label:"sys"
+      ~bounds:(Array.init 21 (fun i -> float_of_int i /. 20.0))
+      "chaos.recall"
+  in
   let soak n =
     let rc = ref [] and rt = ref [] in
     for i = 1 to n do
@@ -1956,8 +1960,8 @@ let chaos_bench () =
         let o = origin () in
         let a = System.query chaos ~from:peers.(o) range in
         let b = System.query twin ~from:twin_peers.(o) range in
-        Obs.Series.observe1 s_chaos_recall "chaos" a.Query_result.recall;
-        Obs.Series.observe1 s_chaos_recall "twin" b.Query_result.recall;
+        Obs.Metrics.observe1 h_chaos_recall "chaos" a.Query_result.recall;
+        Obs.Metrics.observe1 h_chaos_recall "twin" b.Query_result.recall;
         rc := a.Query_result.recall :: !rc;
         rt := b.Query_result.recall :: !rt
       end

@@ -61,9 +61,8 @@ let gauge ~section body name =
       match Json.member name gauges with
       | Some (Json.Float f) when Float.is_finite f -> f
       | Some (Json.Int i) -> float_of_int i
-      | Some Json.Null -> fail "%s gauge %s was never set" section name
       | Some _ -> fail "%s gauge %s is not a finite number" section name
-      | None -> fail "%s gauge %s missing" section name))
+      | None -> fail "%s gauge %s missing (never set)" section name))
 
 (* Robustness floor for the faults section: the retry/backoff machinery
    must recover at least this much recall over retry-disabled routing at

@@ -14,10 +14,9 @@ let validate_spec { check_every; overload; cooldown; min_share } =
 
 type seg = { lo : Chord.Id.t; hi : Chord.Id.t; holder : int }
 
-(* Planned hand-offs per sampling window on the metric timeline
-   ([Obs.Series], off by default); the applying layer adds the per-peer
-   attribution. *)
-let s_planned_moves = Obs.Series.counter "balance.planned_moves"
+(* Planned hand-offs; the applying layer counts the executed moves per
+   target peer. *)
+let m_planned_moves = Obs.Metrics.counter "balance.planned_moves"
 
 (* Per ring position: the physical peer that owns it natively, and the
    segments its (predecessor, position] interval has been split into.
@@ -243,7 +242,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
             Hashtbl.replace t.cooling source until;
             Hashtbl.replace t.cooling target until;
             t.migrations <- t.migrations + 1;
-            Obs.Series.incr s_planned_moves;
+            Obs.Metrics.incr m_planned_moves;
             Some { position; source; target; lo; hi })
       in
       List.find_map attempt candidates

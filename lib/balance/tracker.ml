@@ -20,6 +20,7 @@ type t = {
   peer_loads : (int, int) Hashtbl.t; (* peer -> cumulative served lookups *)
   peer_entries : (int, int) Hashtbl.t; (* peer -> cumulative stored entries *)
   mutable total : int;
+  mutable max_load : int; (* largest value in [peer_loads] *)
   (* Top-k hot sets are recomputed lazily; [revision] invalidates. *)
   mutable revision : int;
   mutable hot_cache : cache option;
@@ -41,6 +42,7 @@ let create ?(window = 1024) policy =
     peer_loads = Hashtbl.create 64;
     peer_entries = Hashtbl.create 64;
     total = 0;
+    max_load = 0;
     revision = 0;
     hot_cache = None;
     recomputations = 0;
@@ -76,7 +78,9 @@ let note_recorded t identifier =
   | Some _ | None -> ()
 
 let record_query t ~peer ~identifier =
-  bump t.peer_loads peer;
+  let load = 1 + lookup_count t.peer_loads peer in
+  Hashtbl.replace t.peer_loads peer load;
+  if load > t.max_load then t.max_load <- load;
   bump t.current identifier;
   t.total <- t.total + 1;
   t.in_window <- t.in_window + 1;
@@ -141,14 +145,18 @@ let hot_identifiers t =
     (fun (id, _) -> if is_hot t id then Some id else None)
     (scored t)
 
-let imbalance loads =
-  match loads with
-  | [] -> 0.0
-  | _ ->
-    let total = List.fold_left ( + ) 0 loads in
-    if total = 0 then 0.0
-    else
-      let mean = float_of_int total /. float_of_int (List.length loads) in
-      float_of_int (List.fold_left Stdlib.max 0 loads) /. mean
+(* Max/mean, shared by the list form and the running tallies so both give
+   bit-identical ratios. *)
+let ratio ~max ~total ~count =
+  if count = 0 || total = 0 then 0.0
+  else
+    let mean = float_of_int total /. float_of_int count in
+    float_of_int max /. mean
 
-let load_imbalance t ~peers = imbalance (List.map (peer_load t) peers)
+let imbalance loads =
+  ratio
+    ~max:(List.fold_left Stdlib.max 0 loads)
+    ~total:(List.fold_left ( + ) 0 loads)
+    ~count:(List.length loads)
+
+let load_imbalance t ~peers = ratio ~max:t.max_load ~total:t.total ~count:peers

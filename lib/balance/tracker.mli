@@ -74,5 +74,7 @@ val imbalance : int list -> float
     included) — the load-imbalance ratio the bench reports. 0 when the
     list is empty or all loads are 0. *)
 
-val load_imbalance : t -> peers:int list -> float
-(** [imbalance] of [peer_load] over the given peer population. *)
+val load_imbalance : t -> peers:int -> float
+(** [imbalance] of [peer_load] over a population of [peers] peers that
+    includes every peer ever recorded, in O(1) from running tallies of
+    the total and the largest per-peer load. *)

@@ -372,11 +372,11 @@ let live_nodes t =
   Hashtbl.fold (fun _ n acc -> if n.dead then acc else n :: acc) t.nodes []
   |> List.sort (fun a b -> Int.compare a.id b.id)
 
-let s_stabilize_rounds = Obs.Series.counter "chord.net.stabilize_rounds"
+let m_stabilize_rounds = Obs.Metrics.counter "chord.net.stabilize_rounds"
 
 let stabilize_round t =
   (* A node inside a fault-plane crash window runs no periodic tasks. *)
-  Obs.Series.incr s_stabilize_rounds;
+  Obs.Metrics.incr m_stabilize_rounds;
   let nodes = List.filter (fun n -> responsive t n.id) (live_nodes t) in
   List.iter (stabilize_node t) nodes;
   List.iter (fix_fingers_node t) nodes

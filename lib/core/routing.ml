@@ -38,11 +38,9 @@ let m_retrains = Obs.Metrics.counter "learned.retrains"
 let h_hops = Obs.Metrics.histogram "learned.hops"
 let h_corrections = Obs.Metrics.histogram "learned.correction_hops"
 
-(* Timeline curves: stale-prediction lookups per window, plus the
-   fraction of segments currently stale after each churn event — the
-   staleness/retrain story of the learned substrate over time. *)
-let s_stale = Obs.Series.counter "learned.stale_lookups"
-let s_staleness = Obs.Series.gauge "learned.staleness"
+(* The fraction of segments stale after each churn event: with the stale
+   lookups above, the staleness/retrain story of the learned substrate. *)
+let g_staleness = Obs.Metrics.gauge "learned.staleness"
 
 (* One learned route: jump to the node the model predicts (1 hop), then
    correct the residual. A fresh segment bounds the residual by the fit
@@ -79,10 +77,7 @@ let learned_lookup ls ~from ~key =
       if stale then ls.stale_lookups <- ls.stale_lookups + 1;
       Obs.Metrics.incr m_lookups;
       Obs.Metrics.add m_messages (hops + 1);
-      if stale then begin
-        Obs.Metrics.incr m_stale;
-        Obs.Series.incr s_stale
-      end;
+      if stale then Obs.Metrics.incr m_stale;
       Obs.Metrics.observe_int h_hops hops;
       Obs.Metrics.observe_int h_corrections corrections;
       Obs.Trace.set_int "owner" owner;
@@ -115,8 +110,8 @@ let note_churn t ~position =
     let before = Learned.Model.epoch model in
     Learned.Model.note_churn model ~position;
     if Learned.Model.epoch model > before then Obs.Metrics.incr m_retrains;
-    if Obs.Series.enabled () then
-      Obs.Series.set s_staleness
+    if Obs.Metrics.recording () then
+      Obs.Metrics.set_gauge g_staleness
         (float_of_int (Learned.Model.stale_segment_count model)
         /. float_of_int (max 1 (Learned.Model.segment_count model)))
 

@@ -228,12 +228,11 @@ let fail_peer t peer =
   Obs.Series.mark_s "system.fail_peer" "peer" (Peer.name peer);
   note_churn t peer
 
-(* [recover_peer] and the deprecated shims are defined below [repair],
-   which recovery triggers when hinted handoff is on. *)
+(* [recover_peer] is defined below [repair], which recovery triggers
+   when hinted handoff is on. *)
 
 let load_imbalance t =
-  Balance.Tracker.load_imbalance t.tracker
-    ~peers:(Array.to_list (Array.map Peer.id t.peer_list))
+  Balance.Tracker.load_imbalance t.tracker ~peers:(Array.length t.peer_list)
 
 let replicated_buckets t =
   match t.replication with
@@ -292,9 +291,6 @@ let traced_identifiers t range =
 
 let padding_fraction t = Padding.current_fraction t.padding
 
-type lookup_stats = Query_result.lookup_stats
-type query_result = Query_result.t
-
 (* Route each identifier from the requesting peer; return owners with hop
    counts. Owners may repeat when consecutive identifiers share a segment. *)
 let route_all t ~from ids =
@@ -329,33 +325,21 @@ let m_replica_hits = Obs.Metrics.counter "balance.replica_hits"
 let m_failovers = Obs.Metrics.counter "balance.failovers"
 let m_replica_drops = Obs.Metrics.counter "balance.replica_drops"
 let g_imbalance = Obs.Metrics.gauge "balance.load_imbalance"
-let m_migrations = Obs.Metrics.counter "balance.migrations"
+let m_migrations = Obs.Metrics.counter ~label:"peer" "balance.migrations"
 let m_migrated_entries = Obs.Metrics.counter "balance.migrated_entries"
 let m_migration_redirects = Obs.Metrics.counter "balance.migration_redirects"
 let m_migration_fallbacks = Obs.Metrics.counter "balance.migration_fallbacks"
 let g_migrated_slices = Obs.Metrics.gauge "balance.migrated_slices"
-let m_hints_parked = Obs.Metrics.counter "system.hints_parked"
+let m_hints_parked = Obs.Metrics.counter ~label:"peer" "system.hints_parked"
 let m_hint_failures = Obs.Metrics.counter "system.hint_failures"
-let m_hint_serves = Obs.Metrics.counter "system.hint_serves"
+let m_hint_serves = Obs.Metrics.counter ~label:"peer" "system.hint_serves"
 let m_hints_replayed = Obs.Metrics.counter "system.hints_replayed"
 let m_replica_resyncs = Obs.Metrics.counter "balance.replica_resyncs"
 let m_repairs = Obs.Metrics.counter "system.repairs"
 
-(* Timeline instruments ([Obs.Series]): windowed curves of the same
-   signals, per-peer labelled where attribution matters (which successor
-   parks the hints, which holder absorbs the migrated slice). All no-ops
-   unless a driver enables the series plane. *)
-let s_queries = Obs.Series.counter "system.queries"
-let s_publishes = Obs.Series.counter "system.publishes"
-let s_degraded = Obs.Series.counter "system.degraded_queries"
-let s_recall = Obs.Series.histo "system.query.recall"
-let s_messages = Obs.Series.histo "system.query.messages"
-let s_imbalance = Obs.Series.gauge "balance.load_imbalance"
-let s_serves = Obs.Series.counter ~labels:[ "peer" ] "system.peer_serves"
-let s_hints_parked = Obs.Series.counter ~labels:[ "peer" ] "system.hints_parked"
-let s_hint_serves = Obs.Series.counter ~labels:[ "peer" ] "system.hint_serves"
-let s_hints_replayed = Obs.Series.counter "system.hints_replayed"
-let s_migrations = Obs.Series.counter ~labels:[ "peer" ] "balance.migrations"
+(* Serves per peer: with the per-peer hint and migration counters above,
+   the timeline shows which peer did the work. *)
+let m_peer_serves = Obs.Metrics.counter ~label:"peer" "system.peer_serves"
 
 let insert_tracked t peer ~identifier entry =
   if not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
@@ -420,9 +404,8 @@ let apply_move t (mv : Balance.Migration.move) =
             ignore (Store.remove_bucket (Peer.store source) ~identifier : int)
           end)
         (Store.identifiers (Peer.store source));
-      Obs.Metrics.incr m_migrations;
+      Obs.Metrics.incr1 m_migrations (Peer.name target);
       Obs.Metrics.add m_migrated_entries !moved;
-      Obs.Series.incr1 s_migrations (Peer.name target);
       Obs.Series.mark_i "balance.migrate" "position" mv.Balance.Migration.position;
       Obs.Trace.set_int "entries" !moved)
 
@@ -447,7 +430,7 @@ let migrate_tick t =
     | None -> ()
     | Some mv ->
       apply_move t mv;
-      if Obs.Metrics.enabled () then
+      if Obs.Metrics.recording () then
         Obs.Metrics.set_gauge g_migrated_slices
           (float_of_int (Balance.Migration.slice_count mg)))
 
@@ -500,8 +483,7 @@ let park_hint t ~from ~identifier ~hops entry =
             in
             if not (List.mem cpos holders) then
               Hashtbl.replace t.hints identifier (holders @ [ cpos ]);
-            Obs.Metrics.incr m_hints_parked;
-            Obs.Series.incr1 s_hints_parked (Peer.name cp);
+            Obs.Metrics.incr1 m_hints_parked (Peer.name cp);
             Obs.Trace.set_bool "parked" true;
             Obs.Trace.set_int "holder" cpos;
             Obs.Trace.event_ii "system.hint_parked" "identifier" identifier
@@ -624,7 +606,6 @@ let repair t =
         Obs.Metrics.incr m_repairs;
         Obs.Metrics.add m_hints_replayed !replayed;
         Obs.Metrics.add m_replica_resyncs !resynced;
-        Obs.Series.add s_hints_replayed !replayed;
         Obs.Trace.set_int "hints_replayed" !replayed;
         Obs.Trace.set_int "replicas_resynced" !resynced)
 
@@ -641,10 +622,6 @@ let recover_peer t peer =
      buckets) and re-syncs its replica copies. Gated, so recovery is
      bit-identical to older builds when hints are off. *)
   if t.config.Config.hinted_handoff then repair t
-
-(* Deprecated spellings kept for one release; see the interface. *)
-let fail = fail_peer
-let recover = recover_peer
 
 (* Create or refresh the replica set of a hot identifier, or lazily drop
    the replicas of one that has cooled since its last lookup. Copies are
@@ -803,9 +780,7 @@ let serve_routes t ~contact ~effective ~batched routes =
           let unanswered () =
             match hint_serve t ~contact ~effective ~identifier ~hops with
             | Some (reply, hpos) ->
-              Obs.Metrics.incr m_hint_serves;
-              if Obs.Series.enabled () then
-                Obs.Series.incr1 s_hint_serves (Peer.name (peer_by_id t hpos));
+              Obs.Metrics.incr1 m_hint_serves (Peer.name (peer_by_id t hpos));
               Obs.Trace.set_bool "responded" true;
               Obs.Trace.set_bool "hinted" true;
               Obs.Trace.event_ii "system.hint_serve" "identifier" identifier
@@ -833,7 +808,7 @@ let serve_routes t ~contact ~effective ~batched routes =
                 in
                 Balance.Tracker.record_query t.tracker ~peer:(Peer.id peer)
                   ~identifier;
-                Obs.Series.incr1 s_serves (Peer.name peer);
+                Obs.Metrics.incr1 m_peer_serves (Peer.name peer);
                 (match t.migration with
                 | Some mg ->
                   (* The planner's round loads: the actual server for
@@ -932,7 +907,6 @@ let publish t ~from ?partition range =
       store_at_owners t reached ~range ~partition;
       let stats = stats_of_hops ids (List.map (fun (_, _, h) -> h) routes) in
       Obs.Metrics.incr m_publishes;
-      Obs.Series.incr s_publishes;
       Obs.Metrics.add m_messages stats.messages;
       Obs.Trace.set_int "messages" stats.messages;
       stats)
@@ -997,13 +971,8 @@ let finish_query_untraced t ~range ~effective ~ids ~routes ~served ~messages =
   Obs.Metrics.add m_unanswered_owners (List.length served - responders);
   Obs.Metrics.observe h_recall recall;
   Obs.Metrics.observe_int h_query_messages stats.Query_result.messages;
-  if Obs.Metrics.enabled () then
+  if Obs.Metrics.recording () then
     Obs.Metrics.set_gauge g_imbalance (load_imbalance t);
-  Obs.Series.incr s_queries;
-  if degraded then Obs.Series.incr s_degraded;
-  Obs.Series.observe s_recall recall;
-  Obs.Series.observe_int s_messages stats.Query_result.messages;
-  if Obs.Series.enabled () then Obs.Series.set s_imbalance (load_imbalance t);
   {
     Query_result.query = range;
     effective;

@@ -210,22 +210,3 @@ val total_entries : t -> int
 val total_evictions : t -> int
 (** Sum of entries dropped by capacity enforcement across peers (always 0
     under the default unbounded policy). *)
-
-(** {1 Deprecated compatibility shims}
-
-    Kept for one release while call sites migrate to {!Query_result} and
-    the [_peer] lifecycle names. The type aliases intentionally do not
-    re-export record fields: pattern-matching code must move to
-    [Query_result.t]. *)
-
-type lookup_stats = Query_result.lookup_stats
-[@@ocaml.deprecated "use Query_result.lookup_stats"]
-
-type query_result = Query_result.t
-[@@ocaml.deprecated "use Query_result.t"]
-
-val fail : t -> Peer.t -> unit
-[@@ocaml.deprecated "renamed to System.fail_peer"]
-
-val recover : t -> Peer.t -> unit
-[@@ocaml.deprecated "renamed to System.recover_peer"]

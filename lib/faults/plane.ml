@@ -114,13 +114,6 @@ type t = {
 
 let m_sends = Obs.Metrics.counter "faults.sends"
 let m_drops = Obs.Metrics.counter "faults.drops"
-
-(* Timeline curves of message fates: how many sends each sampling window
-   lost to cuts, crashes and drops ([Obs.Series], off by default). *)
-let s_sends = Obs.Series.counter "faults.sends"
-let s_drops = Obs.Series.counter "faults.drops"
-let s_unreachable = Obs.Series.counter "faults.unreachable"
-let s_partitioned = Obs.Series.counter "faults.partitioned"
 let m_delayed = Obs.Metrics.counter "faults.delayed"
 let m_unreachable = Obs.Metrics.counter "faults.unreachable"
 let m_partitioned = Obs.Metrics.counter "faults.partitioned"
@@ -246,22 +239,18 @@ type outcome = Delivered of float | Dropped | Unreachable
 
 let send t ~src ~dst =
   Obs.Metrics.incr m_sends;
-  Obs.Series.incr s_sends;
   if crashed t dst then begin
     Obs.Metrics.incr m_unreachable;
-    Obs.Series.incr s_unreachable;
     Unreachable
   end
   else if partitioned t ~src ~dst then begin
     (* Checked before any draw, like the crash check: an unreachable
        destination consumes nothing from the per-message stream. *)
     Obs.Metrics.incr m_partitioned;
-    Obs.Series.incr s_partitioned;
     Unreachable
   end
   else if Prng.Splitmix.float t.rng < t.spec.drop then begin
     Obs.Metrics.incr m_drops;
-    Obs.Series.incr s_drops;
     Dropped
   end
   else begin

@@ -1,72 +1,70 @@
-(** Process-wide metric registry: counters, wall-clock timers and bounded
-    histograms, behind a single global enable flag.
+(** Process-wide instrument registry: counters, gauges, bounded histograms
+    and wall-clock timers. Every signal is declared here once and
+    recorded with one call, which feeds up to two planes:
+
+    - the {b snapshot} plane ({!enable}): run totals, dumped as JSON by
+      {!snapshot} and zeroed by {!reset};
+    - the {b series} plane ({!Series.enable}): per-label windows and run
+      totals that {!Series} samples on its logical clock.
 
     Design constraints, in order:
 
-    - {b Near-zero cost when disabled.} Every record operation is one
-      mutable-bool load and a branch; no allocation, no hashing. The query
-      path of the simulator calls these on every routed identifier, so this
-      is the default state (metrics start disabled).
-    - {b Create once, record often.} [counter]/[timer]/[histogram] hash the
-      name and are meant to be called at module initialization; the returned
-      handle is then recorded against directly. Calling a constructor twice
-      with the same name returns the same handle.
-    - {b Snapshots, not streams.} [snapshot ()] renders the whole registry
-      as a {!Json.t} for the benchmark emitters; [reset ()] zeroes every
-      metric in place (handles stay valid) so one process can measure many
-      benchmark sections independently. *)
+    - {b Near-zero cost when off.} With both planes off every record call
+      is one load and a branch; no allocation, no hashing. The query path
+      of the simulator records on every routed identifier, so this is the
+      default state.
+    - {b Create once, record often.} Constructors hash the name and are
+      meant to be called at module initialization; the returned handle is
+      then recorded against directly. A constructor called again with the
+      same name returns the same handle and ignores [label]/[bounds]; a
+      name reused with another kind raises [Invalid_argument].
+    - {b Deterministic unless marked.} Timers and {!wall_gauge}s read real
+      time: they record on the snapshot plane only, under its ["wall"]
+      subtree, and never reach the series, so a seeded run's timeline is
+      byte-reproducible. *)
 
 type counter
-type timer
-type histogram
 type gauge
+type histogram
+type timer
 
-(** {1 Global switch} *)
+(** {1 Snapshot plane switch} *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
-(** {1 Counters} *)
+val recording : unit -> bool
+(** Whether either plane is on: guards computing a record's argument when
+    that costs more than the record itself. *)
 
-val counter : string -> counter
-(** Find-or-create the counter registered under [name]. *)
+(** {1 Counters}
 
+    [label] names the key the [_1] recorders pair their value with
+    (default ["label"]); each value becomes its own series timeline, while
+    the snapshot keeps one total. *)
+
+val counter : ?label:string -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
+val incr1 : counter -> string -> unit
 val counter_value : counter -> int
 
 (** {1 Gauges}
 
     Last-write-wins point-in-time values (a load-imbalance ratio, a queue
-    depth). Unset gauges hold [nan] and render as [null] in snapshots. *)
+    depth). *)
 
 val gauge : string -> gauge
-(** Find-or-create the gauge registered under [name]. *)
 
 val wall_gauge : string -> gauge
-(** Find-or-create a {e wall-clock} gauge: same semantics as {!gauge},
-    but snapshotted under the ["wall"] subtree alongside timers because
-    its readings derive from real time (throughput, rates) and are not
-    reproducible across runs. Baseline comparisons skip the subtree. *)
+(** A gauge whose readings derive from real time (throughput, rates):
+    snapshotted under ["wall"], never sent to the series. *)
 
 val set_gauge : gauge -> float -> unit
+
 val gauge_value : gauge -> float
 (** [nan] until first set (or after {!reset}). *)
-
-(** {1 Timers}
-
-    Wall-clock ([Unix.gettimeofday]) accumulation; disabled mode runs the
-    thunk with no clock reads. *)
-
-val timer : string -> timer
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Runs the thunk, attributing its wall-clock time to the timer. The clock
-    is still stopped if the thunk raises. *)
-
-val timer_count : timer -> int
-val timer_total_ms : timer -> float
 
 (** {1 Histograms}
 
@@ -75,15 +73,16 @@ val timer_total_ms : timer -> float
     small non-negative integers (unit-width up to 64) and exponential
     beyond (128, 256, … 2{^20}), which suits hop counts, message counts and
     millisecond latencies. Mean/min/max are exact; percentiles are resolved
-    to a bucket upper bound. *)
+    to a bucket upper bound. The series plane keeps a {n, sum, min, max}
+    summary per label value. *)
 
-val histogram : ?bounds:float array -> string -> histogram
-(** Find-or-create. [bounds] (strictly increasing bucket upper bounds) is
-    only consulted on first creation; an existing histogram keeps the
-    boundaries it was created with. *)
+val histogram : ?label:string -> ?bounds:float array -> string -> histogram
+(** [bounds] (strictly increasing bucket upper bounds) is checked and used
+    on first creation only. *)
 
 val observe : histogram -> float -> unit
 val observe_int : histogram -> int -> unit
+val observe1 : histogram -> string -> float -> unit
 
 val hist_count : histogram -> int
 val hist_mean : histogram -> float
@@ -97,16 +96,55 @@ val hist_percentile : histogram -> float -> float
     bound covering at least [p]% of observations ([hist_max] for the
     overflow bucket; [nan] when empty). *)
 
-(** {1 Registry} *)
+(** {1 Timers}
+
+    Wall-clock ([Unix.gettimeofday]) accumulation on the snapshot plane;
+    with it off the thunk runs with no clock reads. *)
+
+val timer : string -> timer
+
+val time : timer -> (unit -> 'a) -> 'a
+(** Runs the thunk, attributing its wall-clock time to the timer. The clock
+    is still stopped if the thunk raises. *)
+
+val timer_count : timer -> int
+val timer_total_ms : timer -> float
+
+(** {1 Snapshots} *)
 
 val reset : unit -> unit
-(** Zero every registered metric in place. Handles remain valid. *)
+(** Zero every snapshot total in place; series state is untouched (see
+    {!Series.reset}). Handles remain valid. *)
 
 val snapshot : unit -> Json.t
-(** The whole registry as
+(** The snapshot totals as
     [{"counters": {..}, "gauges": {..}, "histograms": {..},
-      "wall": {"timers": {..}, "gauges": {..}}}],
-    with metric names sorted for deterministic output. Histograms render
-    count, mean, min, max and p50/p90/p99; unset gauges render as [null].
-    Everything under ["wall"] (timers, {!wall_gauge}s) carries real-time
-    readings and is excluded from baseline bit-identity comparisons. *)
+      "wall": {"timers": {..}, "gauges": {..}}}], names sorted. Only
+    entries a run touched appear: counters at 0, gauges never set,
+    histograms without observations and timers never called are left
+    out, so every object may be empty. Histograms render count, mean,
+    min, max and p50/p90/p99, with non-finite statistics as [null].
+    Baseline comparisons skip the ["wall"] subtree. *)
+
+(** {1 Series plane}
+
+    The hooks {!Series} drives; instrumented code never calls these. *)
+
+type sample =
+  | Count of int  (** a counter's increment *)
+  | Last of float  (** a gauge's last write *)
+  | Summary of { n : int; sum : float; lo : float; hi : float }
+      (** a histogram's observations *)
+
+val series_enabled : unit -> bool
+val set_series : bool -> unit
+
+val drain_windows : unit -> (string * (string * string) list * sample) list
+(** Every open window as (instrument, label pairs, sample), sorted by
+    instrument name then label value; the windows are cleared. *)
+
+val run_totals : unit -> (string * (string * string) list * sample) list
+(** The series run totals, in the same order. *)
+
+val reset_series : unit -> unit
+(** Clears every open window and series run total. *)

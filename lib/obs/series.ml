@@ -1,51 +1,24 @@
-(* Flight-recorder time-series: windowed samples of labelled instruments
-   on a logical clock, in a bounded ring buffer.
+(* Flight-recorder time-series: windowed samples of the Metrics
+   instruments on a logical clock, in a bounded ring buffer.
 
-   Same discipline as [Trace]: one global [on] flag loaded and branched
-   on before anything else, immediate arguments on the hot recorders so a
-   disabled call allocates nothing, and a logical clock (ticked by the
-   protocol layer, once per System operation, in step with the
-   Faults.Plane clock) instead of wall time so a seeded run's timeline is
-   byte-reproducible (DESIGN decision 19).
+   The instruments, the plane flag and the per-label open windows live in
+   [Metrics], so one record call feeds both planes; this module owns the
+   clock, the ring, the marks and the exports. Same discipline as
+   [Trace]: the flag is loaded and branched on before anything else, and
+   the clock is ticked by the protocol layer (once per System operation,
+   in step with the Faults.Plane clock) instead of wall time, so a seeded
+   run's timeline is byte-reproducible (DESIGN decision 19).
 
-   Every [window] ticks each instrument flushes one point per live label
-   vector: counters their window increment, gauges their last write,
-   histograms a {n, sum, min, max} summary. Points past the ring capacity
-   overwrite the oldest and are counted in [dropped] — the recorder keeps
-   the most recent history, like a flight recorder. *)
-
-type accum = {
-  mutable c : int; (* counter increments this window *)
-  mutable n : int; (* histogram observations / gauge set-count *)
-  mutable sum : float; (* histogram sum / last gauge value *)
-  mutable lo : float;
-  mutable hi : float;
-}
-
-type kind_tag = Kcounter | Kgauge | Khisto
-
-type inst = {
-  i_name : string;
-  i_kind : kind_tag;
-  i_keys : string array; (* declared label key names *)
-  open_w : (string list, accum) Hashtbl.t; (* label values -> this window *)
-  totals : (string list, accum) Hashtbl.t; (* label values -> whole run *)
-}
-
-type counter = inst
-type gauge = inst
-type histo = inst
-
-type value =
-  | Pcount of int
-  | Pgauge of float
-  | Psummary of { n : int; sum : float; lo : float; hi : float }
+   Every [window] ticks each instrument flushes one point per touched
+   label value. Points past the ring capacity overwrite the oldest and
+   are counted in [dropped] — the recorder keeps the most recent history,
+   like a flight recorder. *)
 
 type point = {
   at : int; (* window-end tick *)
   metric : string;
   labels : (string * string) list;
-  value : value;
+  value : Metrics.sample;
 }
 
 type mark_rec = {
@@ -54,10 +27,9 @@ type mark_rec = {
   m_attrs : (string * Json.t) list;
 }
 
-let on = ref false
-let enabled () = !on
-let enable () = on := true
-let disable () = on := false
+let enabled = Metrics.series_enabled
+let enable () = Metrics.set_series true
+let disable () = Metrics.set_series false
 
 let clock = ref 0
 let now () = !clock
@@ -66,8 +38,6 @@ let default_window = 64
 let window_width = ref default_window
 let set_window n = window_width := max 1 n
 let window () = !window_width
-
-let registry : (string, inst) Hashtbl.t = Hashtbl.create 64
 
 (* Ring buffer of flushed points. *)
 let default_capacity = 65536
@@ -98,11 +68,7 @@ let reset () =
   dropped_count := 0;
   marks := [];
   mark_len := 0;
-  Hashtbl.iter
-    (fun _ i ->
-      Hashtbl.reset i.open_w;
-      Hashtbl.reset i.totals)
-    registry
+  Metrics.reset_series ()
 
 let emit p =
   let cap = !capacity in
@@ -127,120 +93,15 @@ let points () =
 let point_count () = !ring_len
 let dropped () = !dropped_count
 
-(* Instruments. *)
-
-let register name kind labels =
-  match Hashtbl.find_opt registry name with
-  | Some i ->
-    if i.i_kind <> kind then
-      invalid_arg
-        (Printf.sprintf "Series: %S already registered with another kind" name)
-    else i
-  | None ->
-    let i =
-      {
-        i_name = name;
-        i_kind = kind;
-        i_keys = Array.of_list labels;
-        open_w = Hashtbl.create 8;
-        totals = Hashtbl.create 8;
-      }
-    in
-    Hashtbl.replace registry name i;
-    i
-
-let counter ?(labels = []) name = register name Kcounter labels
-let gauge ?(labels = []) name = register name Kgauge labels
-let histo ?(labels = []) name = register name Khisto labels
-
-let label_pairs i lv =
-  List.mapi
-    (fun idx v ->
-      let key =
-        if idx < Array.length i.i_keys then i.i_keys.(idx)
-        else if idx = 0 then "label"
-        else "label" ^ string_of_int (idx + 1)
-      in
-      (key, v))
-    lv
-
-let find_accum tbl lv =
-  match Hashtbl.find_opt tbl lv with
-  | Some a -> a
-  | None ->
-    let a =
-      { c = 0; n = 0; sum = 0.0; lo = Float.infinity; hi = Float.neg_infinity }
-    in
-    Hashtbl.replace tbl lv a;
-    a
-
-(* Recording: callers are past the [on] check by the time these run. *)
-
-let bump_count i lv k =
-  let a = find_accum i.open_w lv in
-  a.c <- a.c + k;
-  let t = find_accum i.totals lv in
-  t.c <- t.c + k
-
-let bump_gauge i lv v =
-  let a = find_accum i.open_w lv in
-  a.n <- 1;
-  a.sum <- v;
-  let t = find_accum i.totals lv in
-  t.n <- 1;
-  t.sum <- v
-
-let bump_histo i lv v =
-  let obs a =
-    a.n <- a.n + 1;
-    a.sum <- a.sum +. v;
-    if v < a.lo then a.lo <- v;
-    if v > a.hi then a.hi <- v
-  in
-  obs (find_accum i.open_w lv);
-  obs (find_accum i.totals lv)
-
-let incr c = if !on then bump_count c [] 1
-let add c k = if !on then bump_count c [] k
-let incr1 c l1 = if !on then bump_count c [ l1 ] 1
-let add1 c l1 k = if !on then bump_count c [ l1 ] k
-let add2 c l1 l2 k = if !on then bump_count c [ l1; l2 ] k
-let set g v = if !on then bump_gauge g [] v
-let set1 g l1 v = if !on then bump_gauge g [ l1 ] v
-let observe h v = if !on then bump_histo h [] v
-let observe_int h v = if !on then bump_histo h [] (float_of_int v)
-let observe1 h l1 v = if !on then bump_histo h [ l1 ] v
-
 (* Clock, flushing and marks. *)
 
 let flush_at at =
-  let insts =
-    Hashtbl.fold (fun _ i acc -> i :: acc) registry []
-    |> List.sort (fun a b -> String.compare a.i_name b.i_name)
-  in
   List.iter
-    (fun i ->
-      if Hashtbl.length i.open_w > 0 then begin
-        let entries =
-          Hashtbl.fold (fun lv a acc -> (lv, a) :: acc) i.open_w []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        List.iter
-          (fun (lv, a) ->
-            let value =
-              match i.i_kind with
-              | Kcounter -> Pcount a.c
-              | Kgauge -> Pgauge a.sum
-              | Khisto -> Psummary { n = a.n; sum = a.sum; lo = a.lo; hi = a.hi }
-            in
-            emit { at; metric = i.i_name; labels = label_pairs i lv; value })
-          entries;
-        Hashtbl.reset i.open_w
-      end)
-    insts
+    (fun (metric, labels, value) -> emit { at; metric; labels; value })
+    (Metrics.drain_windows ())
 
 let tick () =
-  if !on then begin
+  if enabled () then begin
     clock := !clock + 1;
     if !clock mod !window_width = 0 then flush_at !clock
   end
@@ -252,9 +113,9 @@ let add_mark name attrs =
     mark_len := !mark_len + 1
   end
 
-let mark name = if !on then add_mark name []
-let mark_i name k v = if !on then add_mark name [ (k, Json.Int v) ]
-let mark_s name k v = if !on then add_mark name [ (k, Json.String v) ]
+let mark name = if enabled () then add_mark name []
+let mark_i name k v = if enabled () then add_mark name [ (k, Json.Int v) ]
+let mark_s name k v = if enabled () then add_mark name [ (k, Json.String v) ]
 
 (* Export. *)
 
@@ -269,9 +130,9 @@ let json_of_point p =
   let float_or_null f = if Float.is_finite f then Json.Float f else Json.Null in
   let value =
     match p.value with
-    | Pcount c -> [ ("type", Json.String "count"); ("value", Json.Int c) ]
-    | Pgauge v -> [ ("type", Json.String "gauge"); ("value", float_or_null v) ]
-    | Psummary s ->
+    | Metrics.Count c -> [ ("type", Json.String "count"); ("value", Json.Int c) ]
+    | Metrics.Last v -> [ ("type", Json.String "gauge"); ("value", float_or_null v) ]
+    | Metrics.Summary s ->
       [
         ("type", Json.String "summary");
         ("n", Json.Int s.n);
@@ -334,7 +195,7 @@ let to_jsonl () =
   merge (points ()) (List.rev !marks);
   Buffer.contents buf
 
-(* Prometheus text exposition of the cumulative totals. *)
+(* Prometheus text exposition of the series run totals. *)
 
 let prom_name name =
   let b = Bytes.of_string ("p2prange_" ^ name) in
@@ -373,48 +234,31 @@ let prom_float f =
 
 let to_prometheus () =
   let buf = Buffer.create 4096 in
-  let insts =
-    Hashtbl.fold (fun _ i acc -> i :: acc) registry []
-    |> List.sort (fun a b -> String.compare a.i_name b.i_name)
-  in
+  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* Totals arrive grouped by instrument: one # TYPE line per group. *)
+  let previous = ref "" in
   List.iter
-    (fun i ->
-      let entries =
-        Hashtbl.fold (fun lv a acc -> (lv, a) :: acc) i.totals []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+    (fun (metric, labels, value) ->
+      let base = prom_name metric and lbl = prom_labels labels in
+      let ty =
+        match value with
+        | Metrics.Count _ -> "counter"
+        | Metrics.Last _ -> "gauge"
+        | Metrics.Summary _ -> "summary"
       in
-      if entries <> [] then begin
-        let base = prom_name i.i_name in
-        let ty =
-          match i.i_kind with
-          | Kcounter -> "counter"
-          | Kgauge -> "gauge"
-          | Khisto -> "summary"
-        in
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" base ty);
-        List.iter
-          (fun (lv, a) ->
-            let lbl = prom_labels (label_pairs i lv) in
-            match i.i_kind with
-            | Kcounter ->
-              Buffer.add_string buf (Printf.sprintf "%s%s %d\n" base lbl a.c)
-            | Kgauge ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s%s %s\n" base lbl (prom_float a.sum))
-            | Khisto ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s_count%s %d\n" base lbl a.n);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_sum%s %s\n" base lbl (prom_float a.sum));
-              if a.n > 0 then begin
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_min%s %s\n" base lbl (prom_float a.lo));
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_max%s %s\n" base lbl (prom_float a.hi))
-              end)
-          entries
-      end)
-    insts;
+      if metric <> !previous then line "# TYPE %s %s\n" base ty;
+      previous := metric;
+      match value with
+      | Metrics.Count c -> line "%s%s %d\n" base lbl c
+      | Metrics.Last v -> line "%s%s %s\n" base lbl (prom_float v)
+      | Metrics.Summary s ->
+        line "%s_count%s %d\n" base lbl s.n;
+        line "%s_sum%s %s\n" base lbl (prom_float s.sum);
+        if s.n > 0 then begin
+          line "%s_min%s %s\n" base lbl (prom_float s.lo);
+          line "%s_max%s %s\n" base lbl (prom_float s.hi)
+        end)
+    (Metrics.run_totals ());
   Buffer.contents buf
 
 let write path =

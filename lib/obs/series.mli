@@ -1,37 +1,29 @@
 (** Flight-recorder time-series plane: windowed metric timelines on a
     logical clock.
 
-    Where {!Metrics} is a point-in-time registry dump and {!Trace} is a
-    per-query span tree, [Series] records how metrics {e evolve}: every
-    [window] ticks of a logical clock, each instrument flushes one point
-    per live label set into a bounded ring buffer — counters flush their
+    Where a {!Metrics} snapshot is a point-in-time dump and {!Trace} is a
+    per-query span tree, [Series] records how the same {!Metrics}
+    instruments {e evolve}: while the plane is on, every record call also
+    lands in its label value's open window, and every [window] ticks each
+    window flushes one point into a bounded ring buffer — counters their
     window increment, gauges their last written value, histograms a
-    {count, sum, min, max} summary. Fault-plane transitions (partition,
-    heal, crash, recover, repair) land as {e marks} on the same clock, so
-    a timeline viewer can align degradation and recovery against the
-    events that caused them.
+    {count, sum, min, max} summary. Every instrument touched while the
+    plane is on reaches the timeline, except the wall-clock ones (timers,
+    wall gauges). Fault-plane transitions (partition, heal, crash,
+    recover, repair) land as {e marks} on the same clock, so a timeline
+    viewer can align degradation and recovery against the events that
+    caused them.
 
     Same discipline as {!Trace} (DESIGN decision 19):
 
-    - {b One flag.} Every recording entry point is one mutable-bool load
-      and a branch when disabled; the labelled recorders take immediate
-      string arguments so a disabled call allocates nothing.
+    - {b One flag.} Recording, ticking and marking with the plane off are
+      one load and a branch, allocating nothing.
     - {b Logical clock.} [tick] is driven by the protocol layer (once per
       [System] query/publish, next to the {!Faults.Plane} clock), never
       wall clock, so a timeline of a seeded run is byte-reproducible.
     - {b Bounded memory.} Points land in a ring buffer: past the
       capacity the oldest points are overwritten and counted in
-      [dropped] — a flight recorder keeps the most recent history.
-
-    Instruments are dimensional: creation declares label {e keys}
-    ([Series.counter ~labels:["peer"] "system.hints_parked"]), the [_1]/
-    [_2] recorders supply the corresponding label {e values}, and every
-    distinct value vector becomes its own timeline — per-peer hotspots,
-    hint parking and migration targets stay attributable. *)
-
-type counter
-type gauge
-type histo
+      [dropped] — a flight recorder keeps the most recent history. *)
 
 (** {1 Global switch} *)
 
@@ -40,8 +32,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Clears clock, points, marks, open windows and cumulative totals.
-    Instrument handles stay valid. *)
+(** Clears clock, points, marks, open windows and series run totals;
+    {!Metrics} snapshot totals are untouched (see {!Metrics.reset}). *)
 
 (** {1 Configuration} *)
 
@@ -54,34 +46,6 @@ val window : unit -> int
 val set_capacity : int -> unit
 (** Ring capacity in points (clamped to >= 1; default 65536). Resizing
     drops buffered points; call before enabling. *)
-
-(** {1 Instruments}
-
-    Find-or-create by name, like {!Metrics}: call at module
-    initialization, record against the handle. [labels] declares the
-    label key names and is only consulted on first creation; re-creating
-    under the same name with a different kind raises [Invalid_argument]. *)
-
-val counter : ?labels:string list -> string -> counter
-val gauge : ?labels:string list -> string -> gauge
-val histo : ?labels:string list -> string -> histo
-
-(** {1 Recording}
-
-    The [_1]/[_2] variants pair label values with the instrument's
-    declared keys positionally (missing keys render as ["label"/"label2"]).
-    All are no-ops when disabled. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val incr1 : counter -> string -> unit
-val add1 : counter -> string -> int -> unit
-val add2 : counter -> string -> string -> int -> unit
-val set : gauge -> float -> unit
-val set1 : gauge -> string -> float -> unit
-val observe : histo -> float -> unit
-val observe_int : histo -> int -> unit
-val observe1 : histo -> string -> float -> unit
 
 (** {1 Clock and marks} *)
 
@@ -117,11 +81,11 @@ val to_jsonl : unit -> string
 (** Header line ([schema_version], [kind = "p2prange.series"], clock,
     window, point/mark/drop counts) then one JSON object per point or
     mark, merged in tick order. Flushes any open windows at the current
-    tick first. Deterministic: instruments sort by name, label vectors
+    tick first. Deterministic: instruments sort by name, label values
     lexicographically. *)
 
 val to_prometheus : unit -> string
-(** Prometheus-style text exposition of the cumulative totals (full-run
+(** Prometheus-style text exposition of the series run totals (full-run
     counter sums, last gauge values, histogram summary aggregates) with
     [# TYPE] comments and label sets; names are dot-to-underscore
     sanitized under a [p2prange_] prefix. *)

@@ -416,6 +416,61 @@ let zipf_imbalance_and_failed_recall () =
     true
     (rec_on >= rec_off)
 
+(* [System.load_imbalance] reads the tracker's running total and maximum
+   in O(1); it must equal the list form over every peer's load bit for
+   bit, whatever the balancing policy and however many ring positions a
+   peer holds. *)
+let running_imbalance_matches_list () =
+  let shape =
+    Workload.Query_workload.Zipf_hotspots { hotspots = 8; spread = 8; s = 1.0 }
+  in
+  let base =
+    { Config.default with
+      Config.matching = Config.Containment_match;
+      spread_identifiers = true;
+      l = 1;
+    }
+  in
+  let both =
+    Config.Replicate_and_migrate
+      {
+        replicate = { Config.r = 2; hot = Tracker.Absolute 8; window = 1024 };
+        migrate = Config.default_migrate;
+      }
+  in
+  List.iter
+    (fun (label, config) ->
+      let sys = Sys_.create ~config ~seed:42L ~n_peers:32 () in
+      let peers = Array.of_list (Sys_.peers sys) in
+      let rng = Prng.Splitmix.create 42L in
+      let stream =
+        Workload.Query_workload.create shape ~domain:base.Config.domain
+          ~seed:42L
+      in
+      for i = 1 to 1_500 do
+        let from = peers.(Prng.Splitmix.int rng (Array.length peers)) in
+        let range = Workload.Query_workload.next stream in
+        if i mod 5 = 0 then ignore (Sys_.publish sys ~from range)
+        else ignore (Sys_.query sys ~from range : Query_result.t)
+      done;
+      let loads =
+        List.map
+          (fun p -> Tracker.peer_load (Sys_.tracker sys) (Peer.id p))
+          (Sys_.peers sys)
+      in
+      let running = Sys_.load_imbalance sys in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %h = imbalance of the loads" label running)
+        true
+        (Float.equal running (Tracker.imbalance loads));
+      Alcotest.(check bool) (label ^ ": some load recorded") true
+        (running > 0.0))
+    [
+      ("No_balancing", base);
+      ("Replicate_and_migrate", { base with Config.balancing = both });
+      ("virtual_nodes = 4", { base with Config.virtual_nodes = 4 });
+    ]
+
 let suite =
   [
     Alcotest.test_case "tracker counts" `Quick tracker_counts;
@@ -439,4 +494,6 @@ let suite =
       failover_serves_from_replica;
     Alcotest.test_case "Zipf imbalance and failed recall" `Quick
       zipf_imbalance_and_failed_recall;
+    Alcotest.test_case "running imbalance equals the list form" `Quick
+      running_imbalance_matches_list;
   ]

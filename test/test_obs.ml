@@ -1,5 +1,6 @@
 (* The metrics registry: counter/timer/histogram semantics, the global
-   enable flag (disabled mode must be a no-op), and the JSON emitter.
+   enable flag (disabled mode must be a no-op), snapshots that keep only
+   touched instruments, and the JSON emitter.
 
    The registry is process-global and shared with the instrumented
    libraries, so every test runs inside [isolated], which enables metrics,
@@ -171,7 +172,7 @@ let json_parse_roundtrip () =
 let snapshot_roundtrip () =
   (* The bench's actual artifact path: a snapshot of live metrics printed
      with the emitter must parse back equal through [of_string] — the same
-     check CI's check_bench relies on. *)
+     check CI's check_bench relies on. A gauge never set is left out. *)
   let c = M.counter "test.obs.rt.counter" in
   let g = M.gauge "test.obs.rt.gauge" in
   let unset = M.gauge "test.obs.rt.unset" in
@@ -189,8 +190,8 @@ let snapshot_roundtrip () =
     | Some (J.Obj gauges) ->
       Alcotest.(check bool) "set gauge survives" true
         (List.assoc_opt "test.obs.rt.gauge" gauges = Some (J.Float 0.75));
-      Alcotest.(check bool) "unset gauge parses back as null" true
-        (List.assoc_opt "test.obs.rt.unset" gauges = Some J.Null)
+      Alcotest.(check bool) "unset gauge is omitted" true
+        (not (List.mem_assoc "test.obs.rt.unset" gauges))
     | Some _ | None -> Alcotest.fail "snapshot lacks a gauges object")
 
 let snapshot_structure () =
@@ -328,30 +329,50 @@ let gen_json =
         ])
     (pair (tree 3) (oneof [ return J.Null; map (fun f -> J.Float f) finite_float ]))
 
-(* Regression: an empty histogram's snapshot must emit [null] for every
-   statistic (NaN has no JSON encoding), never raise, and still parse
-   back structurally equal. *)
-let empty_histogram_snapshot_nulls () =
+(* Regression: an empty histogram (whose statistics are all NaN, which
+   has no JSON encoding) is left out of the snapshot, never raises, and
+   the snapshot still parses back structurally equal. *)
+let empty_histogram_omitted () =
   let _ = M.histogram "test.obs.hist.empty_json" in
   let snap = M.snapshot () in
   (match J.member "histograms" snap with
-  | Some (J.Obj hists) -> (
-    match List.assoc_opt "test.obs.hist.empty_json" hists with
-    | Some (J.Obj fields) ->
-      Alcotest.(check bool) "count is zero" true
-        (List.assoc_opt "count" fields = Some (J.Int 0));
-      List.iter
-        (fun key ->
-          Alcotest.(check bool) (key ^ " is null") true
-            (List.assoc_opt key fields = Some J.Null))
-        [ "mean"; "min"; "max"; "p50"; "p90"; "p99" ]
-    | Some _ | None -> Alcotest.fail "empty histogram missing from snapshot")
+  | Some (J.Obj hists) ->
+    Alcotest.(check bool) "empty histogram omitted" false
+      (List.mem_assoc "test.obs.hist.empty_json" hists)
   | Some _ | None -> Alcotest.fail "snapshot lacks a histograms object");
   match J.of_string (J.to_string snap) with
   | Ok parsed ->
     Alcotest.(check bool) "empty-histogram snapshot round-trips" true
       (parsed = snap)
   | Error msg -> Alcotest.fail ("snapshot did not parse: " ^ msg)
+
+(* A reset snapshot keeps its five objects, all empty. *)
+let reset_snapshot_empty () =
+  M.add (M.counter "test.obs.empty.c") 4;
+  M.set_gauge (M.gauge "test.obs.empty.g") 1.5;
+  M.observe (M.histogram "test.obs.empty.h") 2.0;
+  M.set_gauge (M.wall_gauge "test.obs.empty.wall") 9.0;
+  ignore (M.time (M.timer "test.obs.empty.t") (fun () -> ()));
+  M.reset ();
+  Alcotest.(check string) "every object empty"
+    {|{"counters":{},"gauges":{},"histograms":{},"wall":{"timers":{},"gauges":{}}}|}
+    (J.to_string ~indent:0 (M.snapshot ()))
+
+(* Omission follows touch, not value: a counter that only ever added 0 is
+   left out, a gauge set to 0 is kept. *)
+let zero_counter_omitted_zero_gauge_kept () =
+  M.add (M.counter "test.obs.zero.c") 0;
+  M.set_gauge (M.gauge "test.obs.zero.g") 0.0;
+  let snap = M.snapshot () in
+  let names key =
+    match J.member key snap with
+    | Some (J.Obj fields) -> fields
+    | Some _ | None -> Alcotest.failf "snapshot lacks %s" key
+  in
+  Alcotest.(check bool) "add c 0 omitted" false
+    (List.mem_assoc "test.obs.zero.c" (names "counters"));
+  Alcotest.(check bool) "set_gauge g 0.0 kept" true
+    (List.assoc_opt "test.obs.zero.g" (names "gauges") = Some (J.Float 0.0))
 
 (* An observed infinity must null the affected statistics the same way —
    [Json.Float infinity] would print as "null" but break structural
@@ -477,8 +498,12 @@ let suite =
     Alcotest.test_case "snapshot structure" `Quick (isolated snapshot_structure);
     Alcotest.test_case "wall-clock readings live in the wall subtree" `Quick
       (isolated snapshot_wall_subtree);
-    Alcotest.test_case "empty histogram snapshot emits nulls" `Quick
-      (isolated empty_histogram_snapshot_nulls);
+    Alcotest.test_case "empty histogram is omitted" `Quick
+      (isolated empty_histogram_omitted);
+    Alcotest.test_case "reset leaves an empty snapshot" `Quick
+      (isolated reset_snapshot_empty);
+    Alcotest.test_case "zero counter omitted, zero gauge kept" `Quick
+      (isolated zero_counter_omitted_zero_gauge_kept);
     Alcotest.test_case "infinite observation nulls the statistics" `Quick
       (isolated infinite_observation_nulls);
     Alcotest.test_case "seeded deep/escape/max_int round-trip" `Quick

@@ -1,16 +1,19 @@
-(* The flight-recorder timeline plane ([Obs.Series]) and its reader
-   ([Obs.Timeline]): windowed flush semantics, the ring bound, the
-   one-flag zero-allocation discipline when disabled, byte-identical
-   determinism of the JSONL export, the Prometheus exposition, the
-   Timeline change-point checks, and — at the [System] level — that
-   enabling the plane never changes a query's answers.
+(* The flight-recorder timeline plane ([Obs.Series]) over the shared
+   [Obs.Metrics] instruments, and its reader ([Obs.Timeline]): windowed
+   flush semantics, the ring bound, one record call feeding both planes
+   (and only the planes that are on), the one-flag zero-allocation
+   discipline when off, wall-clock instruments kept off the timeline,
+   byte-identical determinism of the JSONL export, the Prometheus
+   exposition, the Timeline change-point checks, and — at the [System]
+   level — that enabling the plane never changes a query's answers.
 
-   The plane is process-global and shared with the instrumented
+   Both planes are process-global and shared with the instrumented
    libraries, so every test runs inside [isolated]: reset, configure,
-   enable, and restore the disabled default afterwards. Instrument
-   names are namespaced test.series.* to stay clear of the library's
-   own instruments. *)
+   enable the series plane alone, and restore the disabled defaults
+   afterwards. Instrument names are namespaced test.series.* to stay
+   clear of the library's own instruments. *)
 
+module M = Obs.Metrics
 module S = Obs.Series
 module T = Obs.Timeline
 
@@ -18,11 +21,15 @@ let isolated ?(window = 4) f () =
   S.reset ();
   S.set_window window;
   S.set_capacity 65536;
+  M.disable ();
+  M.reset ();
   S.enable ();
   Fun.protect
     ~finally:(fun () ->
       S.disable ();
       S.reset ();
+      M.disable ();
+      M.reset ();
       S.set_window 64;
       S.set_capacity 65536)
     f
@@ -37,24 +44,29 @@ let parse_timeline () =
   | Ok t -> t
   | Error msg -> Alcotest.fail ("series did not parse: " ^ msg)
 
+let contains text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
+  go 0
+
 (* --- flush semantics --- *)
 
 let windowed_flush () =
-  let c = S.counter "test.series.flush.c" in
-  let g = S.gauge "test.series.flush.g" in
-  let h = S.histo "test.series.flush.h" in
+  let c = M.counter "test.series.flush.c" in
+  let g = M.gauge "test.series.flush.g" in
+  let h = M.histogram "test.series.flush.h" in
   (* Window 1 (ticks 1-4): counter +3, gauge 1 then 2, histo {4;5}. *)
-  S.incr c;
-  S.add c 2;
-  S.set g 1.0;
-  S.set g 2.0;
-  S.observe h 4.0;
-  S.observe_int h 5;
+  M.incr c;
+  M.add c 2;
+  M.set_gauge g 1.0;
+  M.set_gauge g 2.0;
+  M.observe h 4.0;
+  M.observe_int h 5;
   ticks 4;
   (* Window 2 (ticks 5-8): silence — sparse series emit no points. *)
   ticks 4;
   (* Window 3 (ticks 9-12): counter +1 only. *)
-  S.incr c;
+  M.incr c;
   ticks 4;
   let t = parse_timeline () in
   Alcotest.(check int) "clock" 12 t.T.clock;
@@ -86,9 +98,9 @@ let windowed_flush () =
        "test.series.flush.mark")
 
 let open_window_flushes_on_export () =
-  let c = S.counter "test.series.open.c" in
+  let c = M.counter "test.series.open.c" in
   ticks 4;
-  S.add c 7;
+  M.add c 7;
   ticks 2;
   (* Mid-window export: the open window (ticks 5-6) flushes at tick 6. *)
   let t = parse_timeline () in
@@ -98,13 +110,13 @@ let open_window_flushes_on_export () =
     (T.series t ~metric:"test.series.open.c" ~labels:[])
 
 let labelled_instruments () =
-  let c = S.counter ~labels:[ "peer" ] "test.series.lbl.c" in
-  let h = S.histo ~labels:[ "sys" ] "test.series.lbl.h" in
-  S.incr1 c "peer-1";
-  S.incr1 c "peer-1";
-  S.incr1 c "peer-9";
-  S.observe1 h "a" 1.0;
-  S.observe1 h "b" 0.5;
+  let c = M.counter ~label:"peer" "test.series.lbl.c" in
+  let h = M.histogram ~label:"sys" "test.series.lbl.h" in
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-9";
+  M.observe1 h "a" 1.0;
+  M.observe1 h "b" 0.5;
   ticks 4;
   let t = parse_timeline () in
   Alcotest.(check (list (pair string (list (pair string string)))))
@@ -122,18 +134,88 @@ let labelled_instruments () =
     (T.series t ~metric:"test.series.lbl.c" ~labels:[ ("peer", "peer-1") ])
 
 let kind_clash_rejected () =
-  let _ = S.counter "test.series.clash" in
-  match S.gauge "test.series.clash" with
+  (* A later lookup by name ignores its label key; only a different kind
+     is an error. *)
+  let _ = M.counter ~label:"peer" "test.series.clash" in
+  M.incr1 (M.counter ~label:"node" "test.series.clash") "peer-1";
+  ticks 4;
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    "the first label key wins"
+    [ ("test.series.clash", [ ("peer", "peer-1") ]) ]
+    (T.selectors (parse_timeline ()));
+  match M.gauge "test.series.clash" with
   | _ -> Alcotest.fail "expected Invalid_argument on kind clash"
   | exception Invalid_argument _ -> ()
+
+(* --- one instrument, two planes --- *)
+
+let one_call_feeds_both_planes () =
+  M.enable ();
+  let c = M.counter ~label:"peer" "test.series.both.c" in
+  let h = M.histogram ~label:"sys" "test.series.both.h" in
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-2";
+  M.incr1 c "peer-2";
+  M.observe1 h "chaos" 0.5;
+  M.observe1 h "twin" 1.0;
+  ticks 4;
+  Alcotest.(check int) "counter total sums every label" 3 (M.counter_value c);
+  Alcotest.(check int) "histogram total counts every label" 2 (M.hist_count h);
+  Alcotest.(check (float 1e-9)) "histogram total mean" 0.75 (M.hist_mean h);
+  let t = parse_timeline () in
+  let series metric labels = T.series t ~metric ~labels in
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "per-label counter points"
+    [ (4, 1.0); (4, 2.0) ]
+    (series "test.series.both.c" [ ("peer", "peer-1") ]
+    @ series "test.series.both.c" [ ("peer", "peer-2") ]);
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "per-label histogram points"
+    [ (4, 0.5); (4, 1.0) ]
+    (series "test.series.both.h" [ ("sys", "chaos") ]
+    @ series "test.series.both.h" [ ("sys", "twin") ])
+
+let only_enabled_plane_records () =
+  let c = M.counter ~label:"peer" "test.series.alone.c" in
+  (* Series plane alone (the [isolated] default). *)
+  M.incr1 c "peer-1";
+  ticks 4;
+  Alcotest.(check int) "snapshot plane off: no total" 0 (M.counter_value c);
+  (* Snapshot plane alone. *)
+  S.disable ();
+  M.enable ();
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-1";
+  S.enable ();
+  ticks 4;
+  Alcotest.(check int) "snapshot plane on: its total" 2 (M.counter_value c);
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "only the series-on window has a point"
+    [ (4, 1.0) ]
+    (T.series (parse_timeline ()) ~metric:"test.series.alone.c"
+       ~labels:[ ("peer", "peer-1") ])
+
+let wall_clock_stays_off_the_timeline () =
+  M.enable ();
+  let g = M.wall_gauge "test.series.wall.g" in
+  let t = M.timer "test.series.wall.t" in
+  M.set_gauge g 123.0;
+  Alcotest.(check int) "timer runs its thunk" 1 (M.time t (fun () -> 1));
+  ticks 4;
+  Alcotest.(check (float 0.0)) "the snapshot plane recorded" 123.0
+    (M.gauge_value g);
+  Alcotest.(check bool) "absent from the JSONL" false
+    (contains (S.to_jsonl ()) "test.series.wall");
+  Alcotest.(check bool) "absent from the Prometheus text" false
+    (contains (S.to_prometheus ()) "test_series_wall")
 
 (* --- ring bound --- *)
 
 let ring_bound_drops_oldest () =
   S.set_capacity 8;
-  let c = S.counter "test.series.ring.c" in
+  let c = M.counter "test.series.ring.c" in
   for _ = 1 to 20 do
-    S.incr c;
+    M.incr c;
     ticks 4
   done;
   Alcotest.(check int) "ring holds capacity points" 8 (S.point_count ());
@@ -151,14 +233,14 @@ let ring_bound_drops_oldest () =
 (* --- one-flag discipline --- *)
 
 let disabled_is_noop () =
-  let c = S.counter ~labels:[ "peer" ] "test.series.off.c" in
-  let g = S.gauge "test.series.off.g" in
-  let h = S.histo "test.series.off.h" in
+  let c = M.counter ~label:"peer" "test.series.off.c" in
+  let g = M.gauge "test.series.off.g" in
+  let h = M.histogram "test.series.off.h" in
   S.disable ();
-  S.incr c;
-  S.incr1 c "peer-1";
-  S.set g 9.0;
-  S.observe h 1.0;
+  M.incr c;
+  M.incr1 c "peer-1";
+  M.set_gauge g 9.0;
+  M.observe h 1.0;
   S.mark "test.series.off.mark";
   ticks 50;
   S.enable ();
@@ -169,21 +251,21 @@ let disabled_is_noop () =
     (T.mark_ticks t "test.series.off.mark")
 
 let disabled_allocates_nothing () =
-  let c = S.counter ~labels:[ "peer"; "policy" ] "test.series.alloc.c" in
-  let g = S.gauge "test.series.alloc.g" in
-  let h = S.histo ~labels:[ "sys" ] "test.series.alloc.h" in
+  let c = M.counter ~label:"peer" "test.series.alloc.c" in
+  let g = M.gauge "test.series.alloc.g" in
+  let h = M.histogram ~label:"sys" "test.series.alloc.h" in
   S.disable ();
+  M.disable ();
   let x = 0.25 in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    S.incr c;
-    S.add c 3;
-    S.incr1 c "peer-1";
-    S.add2 c "peer-1" "split" 2;
-    S.set g x;
-    S.observe h x;
-    S.observe_int h 7;
-    S.observe1 h "chaos" x;
+    M.incr c;
+    M.add c 3;
+    M.incr1 c "peer-1";
+    M.set_gauge g x;
+    M.observe h x;
+    M.observe_int h 7;
+    M.observe1 h "chaos" x;
     S.mark_i "test.series.alloc.mark" "node" 42;
     S.mark_s "test.series.alloc.mark" "peer" "peer-1";
     S.tick ()
@@ -196,7 +278,8 @@ let disabled_allocates_nothing () =
     (Printf.sprintf "disabled record path allocates nothing (delta %.0f words)"
        (after -. before))
     true
-    (after -. before <= 16.0)
+    (after -. before <= 16.0);
+  Alcotest.(check int) "no snapshot total either" 0 (M.counter_value c)
 
 (* --- determinism --- *)
 
@@ -204,13 +287,13 @@ let scripted_run () =
   S.reset ();
   S.set_window 4;
   S.enable ();
-  let c = S.counter ~labels:[ "peer" ] "test.series.det.c" in
-  let h = S.histo "test.series.det.h" in
-  let g = S.gauge "test.series.det.g" in
+  let c = M.counter ~label:"peer" "test.series.det.c" in
+  let h = M.histogram "test.series.det.h" in
+  let g = M.gauge "test.series.det.g" in
   for i = 1 to 40 do
-    S.incr1 c (if i mod 3 = 0 then "peer-a" else "peer-b");
-    S.observe h (float_of_int (i mod 7));
-    S.set g (float_of_int i /. 8.0);
+    M.incr1 c (if i mod 3 = 0 then "peer-a" else "peer-b");
+    M.observe h (float_of_int (i mod 7));
+    M.set_gauge g (float_of_int i /. 8.0);
     if i = 10 then S.mark_i "test.series.det.mark" "node" 99;
     S.tick ()
   done;
@@ -334,24 +417,19 @@ let queries_unchanged_by_series () =
 (* --- prometheus exposition --- *)
 
 let prometheus_export () =
-  let c = S.counter ~labels:[ "peer" ] "test.series.prom.c" in
-  let h = S.histo "test.series.prom.h" in
-  S.incr1 c "peer-1";
-  S.incr1 c "peer-1";
-  S.incr1 c "peer-2";
-  S.observe h 2.0;
-  S.observe h 4.0;
+  let c = M.counter ~label:"peer" "test.series.prom.c" in
+  let h = M.histogram "test.series.prom.h" in
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-1";
+  M.incr1 c "peer-2";
+  M.observe h 2.0;
+  M.observe h 4.0;
   ticks 4;
   let text = S.to_prometheus () in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (contains needle))
+        (contains text needle))
     [
       "# TYPE p2prange_test_series_prom_c counter";
       "p2prange_test_series_prom_c{peer=\"peer-1\"} 2";
@@ -367,29 +445,29 @@ let dip_scenario () =
   S.reset ();
   S.set_window 4;
   S.enable ();
-  let h = S.histo ~labels:[ "sys" ] "test.series.gate.recall" in
+  let h = M.histogram ~label:"sys" "test.series.gate.recall" in
   (* 5 healthy windows at recall 1.0, a fault mark, then windows at 0.5
      for one side while the twin stays at 1.0, then both recover. *)
   for _ = 1 to 5 do
     for _ = 1 to 4 do
-      S.observe1 h "chaos" 1.0;
-      S.observe1 h "twin" 1.0;
+      M.observe1 h "chaos" 1.0;
+      M.observe1 h "twin" 1.0;
       S.tick ()
     done
   done;
   S.mark "test.series.gate.fault";
   for _ = 1 to 3 do
     for _ = 1 to 4 do
-      S.observe1 h "chaos" 0.5;
-      S.observe1 h "twin" 1.0;
+      M.observe1 h "chaos" 0.5;
+      M.observe1 h "twin" 1.0;
       S.tick ()
     done
   done;
   S.mark "test.series.gate.repair";
   for _ = 1 to 4 do
     for _ = 1 to 4 do
-      S.observe1 h "chaos" 0.9;
-      S.observe1 h "twin" 0.9;
+      M.observe1 h "chaos" 0.9;
+      M.observe1 h "twin" 0.9;
       S.tick ()
     done
   done;
@@ -462,6 +540,12 @@ let suite =
       (isolated labelled_instruments);
     Alcotest.test_case "registry rejects cross-kind name reuse" `Quick
       (isolated kind_clash_rejected);
+    Alcotest.test_case "one record call feeds both planes" `Quick
+      (isolated one_call_feeds_both_planes);
+    Alcotest.test_case "only an enabled plane records" `Quick
+      (isolated only_enabled_plane_records);
+    Alcotest.test_case "wall-clock instruments stay off the timeline" `Quick
+      (isolated wall_clock_stays_off_the_timeline);
     Alcotest.test_case "ring bound drops oldest, counts drops" `Quick
       (isolated ring_bound_drops_oldest);
     Alcotest.test_case "disabled mode is a no-op" `Quick
