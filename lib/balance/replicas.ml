@@ -9,29 +9,6 @@ let of_ring ring =
     successors = (fun node n -> Chord.Ring.successors ring node n);
   }
 
-let of_network net =
-  {
-    owner =
-      (fun identifier ->
-        (* A converged owner if routing succeeds; the identifier itself
-           marks "no owner" and yields no successors below. *)
-        match Chord.Network.node_ids net with
-        | [] -> identifier
-        | first :: _ -> (
-          match Chord.Network.find_successor net ~from:first ~key:identifier with
-          | Some (owner, _) -> owner
-          | None -> identifier));
-    successors =
-      (fun node n ->
-        if not (Chord.Network.alive net node) then []
-        else
-          let rec take k = function
-            | [] -> []
-            | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-          in
-          take n (Chord.Network.successor_list net node));
-  }
-
 let replica_set view ?(alive = fun _ -> true) ?(group = fun id -> id)
     ~identifier ~r () =
   if r < 1 then invalid_arg "Replicas.replica_set: r must be >= 1";

@@ -19,12 +19,6 @@ val of_ring : Chord.Ring.t -> view
 (** Static converged ring: successors read directly off the sorted node
     array ({!Chord.Ring.successors}). *)
 
-val of_network : Chord.Network.t -> view
-(** Dynamic network: successors come from the node's live successor list
-    ({!Chord.Network.successor_list}), so placement degrades with the
-    protocol's own fault-tolerance state. Lookups on dead/unknown owners
-    yield empty successor lists. *)
-
 val replica_set :
   view ->
   ?alive:(Chord.Id.t -> bool) ->

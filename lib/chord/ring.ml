@@ -42,11 +42,15 @@ let of_names names = create ~ids:(List.map Id.of_name names)
 let random rng ~n =
   if n <= 0 then invalid_arg "Ring.random: need at least one node";
   let module ISet = Set.Make (Int) in
-  let rec draw set =
-    if ISet.cardinal set = n then ISet.elements set
-    else draw (ISet.add (Prng.Splitmix.int rng Id.modulus) set)
+  (* [count] is the set's size: a repeated draw leaves it unchanged. *)
+  let rec draw set count =
+    if count = n then ISet.elements set
+    else
+      let id = Prng.Splitmix.int rng Id.modulus in
+      if ISet.mem id set then draw set count
+      else draw (ISet.add id set) (count + 1)
   in
-  create ~ids:(draw ISet.empty)
+  create ~ids:(draw ISet.empty 0)
 
 let size t = Array.length t.sorted
 let node_ids t = Array.copy t.sorted

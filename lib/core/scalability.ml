@@ -13,19 +13,22 @@ let default_config =
   }
 
 (* Unique uniform ranges over the config's domain, widths in [1, max_width].
-   Uses a set so the count is exact ("10^4 unique partitions"). *)
+   Uses a set so the count is exact ("10^4 unique partitions"); [count]
+   tracks its size, which grows only when a draw is new. *)
 let unique_ranges rng ~domain ~max_width ~n =
   let module RSet = Set.Make (Range) in
   let hi_start = Range.hi domain - max_width in
-  let rec grow set =
-    if RSet.cardinal set >= n then RSet.elements set
+  let rec grow set count =
+    if count >= n then RSet.elements set
     else begin
       let lo = Prng.Splitmix.int_in_range rng ~lo:(Range.lo domain) ~hi:hi_start in
       let width = Prng.Splitmix.int_in_range rng ~lo:1 ~hi:max_width in
-      grow (RSet.add (Range.make ~lo ~hi:(lo + width - 1)) set)
+      let range = Range.make ~lo ~hi:(lo + width - 1) in
+      if RSet.mem range set then grow set count
+      else grow (RSet.add range set) (count + 1)
     end
   in
-  grow RSet.empty
+  grow RSet.empty 0
 
 let make_workload ?(config = default_config) ?(unique_partitions = 10_000)
     ?(max_width = 200) ~seed () =
@@ -60,6 +63,7 @@ let make_workload ?(config = default_config) ?(unique_partitions = 10_000)
   { identifiers = Array.of_list (List.map ids_of ranges) }
 
 let workload_size w = Array.length w.identifiers
+let identifiers w = Array.copy w.identifiers
 
 let truncate w n =
   if n <= 0 || n > Array.length w.identifiers then

@@ -34,6 +34,9 @@ val make_workload :
 val workload_size : workload -> int
 (** Number of unique partitions. *)
 
+val identifiers : workload -> int list array
+(** Each unique partition's [l] identifiers, in workload order (a copy). *)
+
 val truncate : workload -> int -> workload
 (** [truncate w n] keeps the first [n] partitions — used to sweep stored
     volume (Fig. 11b) without re-hashing. @raise Invalid_argument if [n]

@@ -1,7 +1,7 @@
 (** Reading and analysing {!Series} JSONL exports.
 
-    Shared by [bin/timeline.exe] (sparkline rendering, ad-hoc checks) and
-    [bin/check_bench] (the CI change-point gate on the [chaos] bench):
+    Behind [bin/timeline.exe] (sparkline rendering and the CI
+    change-point gates on the [chaos] bench):
     parse a series file back into points and marks, project one metric's
     per-window values, and run shape checks — "the recall dip begins
     within N ticks of the partition mark", "after the last repair mark

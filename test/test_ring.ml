@@ -93,6 +93,26 @@ let of_names_matches_sha1 () =
     (Chord.Ring.contains ring (Chord.Id.of_name "alpha"));
   Alcotest.(check int) "size" 3 (Chord.Ring.size ring)
 
+(* [Ring.random] keeps drawing until it holds [n] distinct ids. The
+   digests pin the exact ids two seeds produce, so a change to how draws
+   are counted or deduplicated cannot pass silently. *)
+let random_ids_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      let ring = Chord.Ring.random (Prng.Splitmix.create seed) ~n:2000 in
+      let ids = Chord.Ring.node_ids ring in
+      Alcotest.(check int) "size" 2000 (Array.length ids);
+      Alcotest.(check string)
+        (Printf.sprintf "ids at seed %Ld" seed)
+        digest
+        (P2p_digest.Sha1.to_hex
+           (P2p_digest.Sha1.digest_string
+              (String.concat "," (Array.to_list (Array.map string_of_int ids))))))
+    [
+      (42L, "ce55e63e5398759e24012eb354151be09f6a5056");
+      (7919L, "ffe905abb2f070aae140a3fcd491071484222235");
+    ]
+
 let prop_owner_is_first_at_or_after =
   QCheck.Test.make ~name:"owner = first node clockwise at/after the key"
     ~count:500
@@ -131,5 +151,7 @@ let suite =
     Alcotest.test_case "construction validation" `Quick construction_validation;
     Alcotest.test_case "of_names uses SHA-1 placement" `Quick
       of_names_matches_sha1;
+    Alcotest.test_case "random ring ids are pinned per seed" `Quick
+      random_ids_pinned;
     QCheck_alcotest.to_alcotest prop_owner_is_first_at_or_after;
   ]

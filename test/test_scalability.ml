@@ -90,6 +90,33 @@ let deterministic () =
   in
   Alcotest.(check (float 0.0)) "same p99" (run ()) (run ())
 
+(* On a 64-value domain with widths up to 4 there are only 240 distinct
+   ranges, so drawing 200 unique ones repeats many draws. Only new draws
+   may count towards the total, and the digest pins the identifiers the
+   drawn ranges hash to. *)
+let small_domain_repeated_draws () =
+  let config =
+    P2prange.Config.default
+    |> P2prange.Config.with_domain (Rangeset.Range.make ~lo:0 ~hi:63)
+  in
+  let w =
+    P2prange.Scalability.make_workload ~config ~unique_partitions:200
+      ~max_width:4 ~seed:42L ()
+  in
+  Alcotest.(check int) "unique partitions" 200
+    (P2prange.Scalability.workload_size w);
+  Alcotest.(check int) "stored = unique × l" 1000
+    (P2prange.Scalability.stored_count w);
+  let ids = P2prange.Scalability.identifiers w in
+  Alcotest.(check string) "identifiers" "e6b08b97038f45fd6ad927580d3cab6583d575da"
+    (P2p_digest.Sha1.to_hex
+       (P2p_digest.Sha1.digest_string
+          (String.concat ";"
+             (Array.to_list
+                (Array.map
+                   (fun l -> String.concat "," (List.map string_of_int l))
+                   ids)))))
+
 let validation () =
   let w = Lazy.force small_workload in
   Alcotest.check_raises "bad node count"
@@ -114,5 +141,7 @@ let suite =
     Alcotest.test_case "single-node system has zero hops" `Quick
       single_node_zero_hops;
     Alcotest.test_case "deterministic per seed" `Quick deterministic;
+    Alcotest.test_case "repeated draws on a small domain" `Quick
+      small_domain_repeated_draws;
     Alcotest.test_case "validation" `Quick validation;
   ]
