@@ -1,10 +1,15 @@
-(** A static Chord ring with exact finger tables.
+(** A static Chord ring with exact fingers.
 
     This models a converged network (every node's successor and fingers are
     correct), which is the setting of the paper's scalability experiments
     (§5.3): build a ring of N peers, map 50,000 partition identifiers onto
     it, and measure per-node load and lookup path lengths. The dynamic
-    protocol (joins, failures, stabilization) lives in {!Network}. *)
+    protocol (joins, failures, stabilization) lives in {!Network}.
+
+    The ring stores only its sorted node identifiers, one word per node.
+    A converged finger is a function of that array, so no table is kept:
+    each hop derives its closest preceding finger with one binary search,
+    and takes the same hop a 32-entry finger table would give. *)
 
 type t
 
@@ -43,7 +48,10 @@ val successors : t -> Id.t -> int -> Id.t list
     negative count. *)
 
 val finger : t -> Id.t -> int -> Id.t
-(** [finger t n i] = [owner t (n + 2{^i})], for [i] in [\[0, 31]]. *)
+(** [finger t n i] = [owner t (n + 2{^i})], for [i] in [\[0, 31]],
+    computed on demand (nothing is stored per finger).
+    @raise Not_found if [n] is not a node; @raise Invalid_argument if [i]
+    is out of range. *)
 
 val lookup : t -> from:Id.t -> key:Id.t -> Id.t * int
 (** Routes a query from node [from] to the owner of [key] using
@@ -58,7 +66,9 @@ val lookup : t -> from:Id.t -> key:Id.t -> Id.t * int
     the known node closest to (and not past) the target owner instead of
     re-walking the shared finger prefix. Purely a hop saver: owners are
     unchanged, and a cached lookup never takes more hops than {!lookup}
-    for the same key. *)
+    for the same key. The addresses are kept in an ordered set, so the
+    best one — the known node closest before the owner — is a single
+    predecessor query. *)
 module Route_cache : sig
   type t
 
@@ -68,7 +78,8 @@ module Route_cache : sig
   (** Record a node address (normally done by {!lookup_via} itself). *)
 
   val known : t -> int
-  (** Distinct node addresses learned so far. *)
+  (** Distinct node addresses learned so far; counting takes time linear
+      in that number. *)
 
   val shortcuts : t -> int
   (** Lookups that jumped via a cached address. *)

@@ -16,6 +16,8 @@ type t = {
   peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position *)
   by_name : (string, Peer.t) Hashtbl.t;
   peer_list : Peer.t array;
+  peer_ids : int list Lazy.t;
+      (* [Peer.id] of [peer_list], in order; only the planner forces it *)
   padding : Padding.t;
   tracker : Balance.Tracker.t;
   replication : replication_state option;
@@ -137,6 +139,7 @@ let create_with_peers ?(config = Config.default) ~seed names =
     peers;
     by_name;
     peer_list;
+    peer_ids = lazy (Array.to_list (Array.map Peer.id peer_list));
     padding = Padding.create config.Config.padding;
     tracker;
     replication;
@@ -418,7 +421,7 @@ let migrate_tick t =
   | Some mg -> (
     match
       Balance.Migration.tick mg
-        ~peers:(Array.to_list (Array.map Peer.id t.peer_list))
+        ~peers:(Lazy.force t.peer_ids)
         ~responsive:(fun pid -> responsive t (peer_by_id t pid))
         ~positions:(fun pid ->
           Balance.Virtual_nodes.positions
@@ -459,21 +462,22 @@ let store_at_owners t routes ~range ~partition =
    first live successor of the owner's ring position instead of losing
    it. The hint is stored physically in the holder's bucket (so it can be
    served degraded from there) and recorded in the registry for replay by
-   [repair]. Walking [successors] skips every virtual position of the
-   dead owner automatically — they all fail [responsive]. *)
+   [repair]. Walking the successors one at a time skips every virtual
+   position of the dead owner automatically — they all fail
+   [responsive] — and stops at the first that accepts. *)
 let park_hint t ~from ~identifier ~hops entry =
   Obs.Trace.with_span "hint.park" (fun () ->
       Obs.Trace.set_int "identifier" identifier;
       let position = position_of t identifier in
       let r = ring t in
-      let candidates =
-        Chord.Ring.successors r position (Chord.Ring.size r - 1)
-      in
-      let rec try_park = function
-        | [] ->
+      (* Tries [cpos], then the nodes after it: [left] nodes in all, so
+         every node but [position] once, nearest first. *)
+      let rec try_park cpos left =
+        if left = 0 then begin
           Obs.Metrics.incr m_hint_failures;
           Obs.Trace.set_bool "parked" false
-        | cpos :: rest ->
+        end
+        else
           let cp = peer_by_id t cpos in
           if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
           then begin
@@ -489,9 +493,9 @@ let park_hint t ~from ~identifier ~hops entry =
             Obs.Trace.event_ii "system.hint_parked" "identifier" identifier
               "holder" cpos
           end
-          else try_park rest
+          else try_park (Chord.Ring.successor r cpos) (left - 1)
       in
-      try_park candidates)
+      try_park (Chord.Ring.successor r position) (Chord.Ring.size r - 1))
 
 let parked_hints t = Hashtbl.length t.hints
 

@@ -113,6 +113,223 @@ let random_ids_pinned () =
       (7919L, "ffe905abb2f070aae140a3fcd491071484222235");
     ]
 
+(* The table router, kept as the oracle for the derived one: explicit
+   finger rows read from [Ring.finger], the classic descending
+   closest-preceding-finger scan, and a best shortcut found by folding
+   over every learned address. *)
+module Table_router = struct
+  module R = Chord.Ring
+  module Id = Chord.Id
+
+  type t = { ring : R.t; rows : (int, int array) Hashtbl.t }
+
+  let create ring =
+    let ids = R.node_ids ring in
+    let rows = Hashtbl.create (Array.length ids) in
+    Array.iter
+      (fun n -> Hashtbl.replace rows n (Array.init Id.bits (R.finger ring n)))
+      ids;
+    { ring; rows }
+
+  (* First hop from [n] toward [key]: the highest finger strictly inside
+     (n, key), else the successor. *)
+  let step t n key =
+    let row = Hashtbl.find t.rows n in
+    let rec scan i =
+      if i < 0 then R.successor t.ring n
+      else if Id.in_interval_oo row.(i) ~lo:n ~hi:key then row.(i)
+      else scan (i - 1)
+    in
+    scan (Id.bits - 1)
+
+  let rec route t learn ~key n hops =
+    let succ = R.successor t.ring n in
+    if Id.in_interval_oc key ~lo:n ~hi:succ then begin
+      learn succ;
+      (succ, hops + 1)
+    end
+    else begin
+      let next = step t n key in
+      learn next;
+      route t learn ~key next (hops + 1)
+    end
+
+  let lookup t ~from ~key =
+    if R.owner t.ring key = from then (from, 0)
+    else route t ignore ~key from 0
+
+  type cache = {
+    known : (int, unit) Hashtbl.t;
+    mutable shortcuts : int;
+    mutable full_walks : int;
+  }
+
+  let new_cache () = { known = Hashtbl.create 64; shortcuts = 0; full_walks = 0 }
+
+  let best_shortcut cache ~from ~target =
+    Hashtbl.fold
+      (fun c () acc ->
+        if c <> from && Id.in_interval_oc c ~lo:from ~hi:target then
+          match acc with
+          | Some b
+            when Id.distance_cw ~from ~to_:b >= Id.distance_cw ~from ~to_:c ->
+            acc
+          | Some _ | None -> Some c
+        else acc)
+      cache.known None
+
+  let lookup_via t cache ~from ~key =
+    let target = R.owner t.ring key in
+    let learn c = Hashtbl.replace cache.known c () in
+    learn from;
+    if target = from then (from, 0)
+    else
+      let plain = step t from key in
+      match best_shortcut cache ~from ~target with
+      | Some c when Id.distance_cw ~from ~to_:c > Id.distance_cw ~from ~to_:plain
+        ->
+        cache.shortcuts <- cache.shortcuts + 1;
+        if c = target then (target, 1) else route t learn ~key c 1
+      | Some _ | None ->
+        cache.full_walks <- cache.full_walks + 1;
+        route t learn ~key from 0
+end
+
+(* Keys drawn to hit the boundaries a derived finger can get wrong: a
+   node's own id, the id just past a node, and uniform keys. *)
+let draw_key rng nodes =
+  let node = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
+  match Prng.Splitmix.int rng 4 with
+  | 0 -> node
+  | 1 -> (node + 1) land (Chord.Id.modulus - 1)
+  | _ -> Prng.Splitmix.int rng Chord.Id.modulus
+
+let check_cache label (ref_cache : Table_router.cache) cache =
+  let module C = Chord.Ring.Route_cache in
+  Alcotest.(check (list int))
+    (label ^ ": known, shortcuts, full walks")
+    [ Hashtbl.length ref_cache.known; ref_cache.shortcuts; ref_cache.full_walks ]
+    [ C.known cache; C.shortcuts cache; C.full_walks cache ]
+
+let matches_table_router_on ~label ring seed =
+  let oracle = Table_router.create ring in
+  let nodes = Chord.Ring.node_ids ring in
+  let rng = Prng.Splitmix.create seed in
+  let pair = Alcotest.(pair int int) in
+  let shared = Chord.Ring.Route_cache.create ()
+  and ref_shared = Table_router.new_cache () in
+  for q = 1 to 1500 do
+    let from = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
+    let key = draw_key rng nodes in
+    let where = Printf.sprintf "%s lookup %d" label q in
+    Alcotest.check pair (where ^ ": plain")
+      (Table_router.lookup oracle ~from ~key)
+      (Chord.Ring.lookup ring ~from ~key);
+    let cache = Chord.Ring.Route_cache.create ()
+    and ref_cache = Table_router.new_cache () in
+    Alcotest.check pair (where ^ ": fresh cache")
+      (Table_router.lookup_via oracle ref_cache ~from ~key)
+      (Chord.Ring.lookup_via ring cache ~from ~key);
+    check_cache (where ^ ": fresh cache") ref_cache cache;
+    Alcotest.check pair (where ^ ": shared cache")
+      (Table_router.lookup_via oracle ref_shared ~from ~key)
+      (Chord.Ring.lookup_via ring shared ~from ~key);
+    check_cache (where ^ ": shared cache") ref_shared shared
+  done
+
+(* Plain lookups, lookups through a fresh cache each, and one cache shared
+   by a whole stream from varied sources, all against the table router. *)
+let matches_table_router () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let ring = Chord.Ring.random (Prng.Splitmix.create seed) ~n in
+          matches_table_router_on
+            ~label:(Printf.sprintf "n=%d seed=%Ld" n seed)
+            ring (Int64.add seed 1L))
+        [ 42L; 7919L ])
+    [ 1; 2; 3; 7; 64; 1000; 20_000 ];
+  (* Adjacent ids, wrapping past 0: distances of 1 and 2 to the last node
+     before the key, and fingers that start past the top of the ring. *)
+  let dense =
+    Chord.Ring.create
+      ~ids:
+        (List.init 40 (fun k -> Chord.Id.modulus - 40 + k)
+        @ List.init 40 Fun.id
+        @ [ 1000; 1 lsl 20; 1 lsl 31 ])
+  in
+  matches_table_router_on ~label:"dense" dense 5L
+
+(* The (owner, hops) sequence of 2 000 plain lookups and 2 000 lookups
+   through caches shared by 50-lookup batches with varied sources, on a
+   1 000-node ring. The digests were taken from the table router. *)
+let routes_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      let rng = Prng.Splitmix.create seed in
+      let ring = Chord.Ring.random rng ~n:1000 in
+      let nodes = Chord.Ring.node_ids ring in
+      let buf = Buffer.create 40_000 in
+      let add (owner, hops) = Printf.bprintf buf "%d:%d;" owner hops in
+      let draw () =
+        (nodes.(Prng.Splitmix.int rng 1000), Prng.Splitmix.int rng Chord.Id.modulus)
+      in
+      for _ = 1 to 2000 do
+        let from, key = draw () in
+        add (Chord.Ring.lookup ring ~from ~key)
+      done;
+      let cache = ref (Chord.Ring.Route_cache.create ()) in
+      for q = 1 to 2000 do
+        if q mod 50 = 1 then cache := Chord.Ring.Route_cache.create ();
+        let from, key = draw () in
+        add (Chord.Ring.lookup_via ring !cache ~from ~key)
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "routes at seed %Ld" seed)
+        digest
+        (P2p_digest.Sha1.to_hex (P2p_digest.Sha1.digest_string (Buffer.contents buf))))
+    [ (42L, "69013fb0580e5a2cc73e46660d3c1fd719b7db90"); (7919L, "751e44b4f6e53b5d65572d38a0f943bd82b6ffe4") ]
+
+let with_planes_off f =
+  let metrics = Obs.Metrics.enabled ()
+  and series = Obs.Series.enabled ()
+  and trace = Obs.Trace.enabled () in
+  Obs.Metrics.disable ();
+  Obs.Series.disable ();
+  Obs.Trace.disable ();
+  Fun.protect f ~finally:(fun () ->
+      if metrics then Obs.Metrics.enable ();
+      if series then Obs.Series.enable ();
+      if trace then Obs.Trace.enable ())
+
+(* A hop allocates nothing, so a lookup allocates the same few words
+   however many hops it takes: bigger rings route longer but must not
+   allocate more. *)
+let lookup_allocation_flat () =
+  let words_per_lookup n =
+    let rng = Prng.Splitmix.create 11L in
+    let ring = Chord.Ring.random rng ~n in
+    let nodes = Chord.Ring.node_ids ring in
+    let queries =
+      Array.init 1000 (fun _ ->
+          (nodes.(Prng.Splitmix.int rng n), Prng.Splitmix.int rng Chord.Id.modulus))
+    in
+    with_planes_off (fun () ->
+        let before = Gc.minor_words () in
+        Array.iter
+          (fun (from, key) ->
+            ignore (Sys.opaque_identity (Chord.Ring.lookup ring ~from ~key)))
+          queries;
+        let after = Gc.minor_words () in
+        (after -. before) /. 1000.)
+  in
+  let small = words_per_lookup 64 and large = words_per_lookup 20_000 in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "words per lookup at 64 peers (%.2f) and 20 000 (%.2f)" small
+       large)
+    small large
+
 let prop_owner_is_first_at_or_after =
   QCheck.Test.make ~name:"owner = first node clockwise at/after the key"
     ~count:500
@@ -153,5 +370,10 @@ let suite =
       of_names_matches_sha1;
     Alcotest.test_case "random ring ids are pinned per seed" `Quick
       random_ids_pinned;
+    Alcotest.test_case "derived fingers route like finger tables" `Quick
+      matches_table_router;
+    Alcotest.test_case "routes are pinned per seed" `Quick routes_pinned;
+    Alcotest.test_case "lookup allocation is flat in ring size" `Quick
+      lookup_allocation_flat;
     QCheck_alcotest.to_alcotest prop_owner_is_first_at_or_after;
   ]
