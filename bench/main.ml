@@ -1769,17 +1769,16 @@ let substrate_bench () =
   let l_hops, l_churn_hops, l_msgs, l_recall, l_answers, l_sys =
     run learned_config
   in
-  let routing = System.routing l_sys in
-  let model = Option.get (Routing.learned_model routing) in
-  let lookups = Routing.learned_lookups routing in
+  let model = Option.get (Routing.learned_model (System.routing l_sys)) in
+  (* The section's Metrics plane is fresh and only the learned system
+     records [learned.*], so these are its tallies. *)
+  let lookups = Obs.Metrics.(counter_value (counter "learned.lookups")) in
   let mean_correction =
     if lookups = 0 then 0.0
-    else
-      float_of_int (Routing.learned_correction_hops routing)
-      /. float_of_int lookups
+    else Obs.Metrics.(hist_mean (histogram "learned.correction_hops"))
   in
   let identical = c_answers = l_answers in
-  let stale = Routing.learned_stale_lookups routing
+  let stale = Obs.Metrics.(counter_value (counter "learned.stale_lookups"))
   and retrains = Learned.Model.retrains model
   and segments = Learned.Model.segment_count model in
   record_gauges

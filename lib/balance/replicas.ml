@@ -1,21 +1,10 @@
-type view = {
-  owner : Chord.Id.t -> Chord.Id.t;
-  successors : Chord.Id.t -> int -> Chord.Id.t list;
-}
-
-let of_ring ring =
-  {
-    owner = Chord.Ring.owner ring;
-    successors = (fun node n -> Chord.Ring.successors ring node n);
-  }
-
-let replica_set view ?(alive = fun _ -> true) ?(group = fun id -> id)
+let replica_set ring ?(alive = fun _ -> true) ?(group = fun id -> id)
     ~identifier ~r () =
   if r < 1 then invalid_arg "Replicas.replica_set: r must be >= 1";
   Obs.Trace.with_span "balance.replica_set" (fun () ->
       Obs.Trace.set_int "identifier" identifier;
       Obs.Trace.set_int "r" r;
-      let owner = view.owner identifier in
+      let owner = Chord.Ring.owner ring identifier in
       let taken = Hashtbl.create (r + 1) in
       Hashtbl.replace taken (group owner) ();
       let replicas =
@@ -32,7 +21,7 @@ let replica_set view ?(alive = fun _ -> true) ?(group = fun id -> id)
           []
           (* Walk far enough that grouped (virtual-node) duplicates and dead
              nodes cannot exhaust the candidate list prematurely. *)
-          (view.successors owner ((r + 1) * 8))
+          (Chord.Ring.successors ring owner ((r + 1) * 8))
       in
       Obs.Trace.set_int "owner" owner;
       Obs.Trace.set_int "chosen" (1 + List.length replicas);

@@ -7,32 +7,21 @@
     nodes; copying entries and serving from them is the caller's job
     ({!P2prange.System}). *)
 
-type view = {
-  owner : Chord.Id.t -> Chord.Id.t;  (** identifier -> owning node *)
-  successors : Chord.Id.t -> int -> Chord.Id.t list;
-      (** [successors node n]: up to [n] distinct nodes clockwise after
-          [node], nearest first, never including [node] itself *)
-}
-(** A substrate-independent placement view. *)
-
-val of_ring : Chord.Ring.t -> view
-(** Static converged ring: successors read directly off the sorted node
-    array ({!Chord.Ring.successors}). *)
-
 val replica_set :
-  view ->
+  Chord.Ring.t ->
   ?alive:(Chord.Id.t -> bool) ->
   ?group:(Chord.Id.t -> int) ->
   identifier:Chord.Id.t ->
   r:int ->
   unit ->
   Chord.Id.t list
-(** [replica_set view ~identifier ~r ()] is the owner of [identifier]
-    followed by up to [r] replica nodes walking clockwise. [alive] filters
-    candidate replicas (default: everyone); [group] maps a node to the
-    physical peer it belongs to (default: identity) so that with virtual
-    nodes the [r] replicas land on [r] {e distinct peers} — a replica on
-    another hash position of the owner's own peer would be no replica at
-    all. The owner heads the list even when dead (the caller decides how
-    to treat it); an empty list means the identifier has no owner under
-    [view]. @raise Invalid_argument when [r < 1]. *)
+(** [replica_set ring ~identifier ~r ()] is the owner of [identifier]
+    followed by up to [r] replica nodes, read off the ring's successors
+    clockwise ({!Chord.Ring.successors}). [alive] filters candidate
+    replicas (default: everyone); [group] maps a node to the physical
+    peer it belongs to (default: identity) so that with virtual nodes the
+    [r] replicas land on [r] {e distinct peers} — a replica on another
+    hash position of the owner's own peer would be no replica at all. The
+    owner heads the list even when dead (the caller decides how to treat
+    it), so the list is never empty. @raise Invalid_argument when
+    [r < 1]. *)

@@ -218,66 +218,6 @@ let find_successor t ~from ~key =
         Obs.Trace.set_bool "failed" true);
       result)
 
-let m_batch_memo = Obs.Metrics.counter "chord.net.batch_memo_hits"
-let m_batch_direct = Obs.Metrics.counter "chord.net.batch_direct_hits"
-
-(* Resolve a whole batch of keys from one node, sharing work across the
-   round: a key already resolved this round is answered from the memo at
-   zero cost, and a key owned by a node the round has already contacted
-   (verified against that owner's predecessor interval) is fetched with
-   one direct hop instead of a fresh finger walk. Everything else falls
-   through to [find_successor], so faults compose unchanged. *)
-let find_successors t ~from keys =
-  let resolved = Hashtbl.create (List.length keys) in
-  let contacted = Hashtbl.create 16 in
-  let note = function
-    | Some (owner, _) -> Hashtbl.replace contacted owner ()
-    | None -> ()
-  in
-  List.map
-    (fun key ->
-      match Hashtbl.find_opt resolved key with
-      | Some r ->
-        Obs.Metrics.incr m_batch_memo;
-        Obs.Trace.event_i "net.batch_memo_hit" "key" key;
-        (key, r)
-      | None ->
-        let direct_owner =
-          if node_opt t from = None then None
-          else
-            Hashtbl.fold
-              (fun c () acc ->
-                match acc with
-                | Some _ -> acc
-                | None -> (
-                  match node_opt t c with
-                  | None -> None
-                  | Some cn -> (
-                    match cn.predecessor with
-                    | Some p
-                      when responsive t p
-                           && Id.in_interval_oc key ~lo:p ~hi:c ->
-                      Some cn
-                    | Some _ | None -> None)))
-              contacted None
-        in
-        let r =
-          match direct_owner with
-          | Some cn when cn.id = from -> Some (from, 0)
-          | Some cn when contact_ok t ~src:from ~dst:cn.id ->
-            Obs.Metrics.incr m_batch_direct;
-            Obs.Metrics.incr m_lookups;
-            Obs.Metrics.add m_messages 2;
-            Obs.Metrics.observe_int h_hops 1;
-            Obs.Trace.event_ii "net.batch_direct_hit" "key" key "owner" cn.id;
-            Some (cn.id, 1)
-          | Some _ | None -> find_successor t ~from ~key
-        in
-        note r;
-        Hashtbl.replace resolved key r;
-        (key, r))
-    keys
-
 let join t id ~via =
   if not (Id.is_valid id) then invalid_arg "Network.join: invalid id";
   if Hashtbl.mem t.nodes id && alive t id then

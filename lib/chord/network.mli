@@ -95,16 +95,6 @@ val find_successor : t -> from:Id.t -> key:Id.t -> (Id.t * int) option
     pointers, skipping dead fingers. Returns the reached owner and hop
     count, or [None] if routing dead-ends (possible mid-churn). *)
 
-val find_successors : t -> from:Id.t -> Id.t list -> (Id.t * (Id.t * int) option) list
-(** Batched {!find_successor} from one node, one result per key in order.
-    Work is shared across the round: a repeated key is answered from the
-    round's memo ([chord.net.batch_memo_hits], zero messages), and a key
-    owned by a node already contacted this round — verified against that
-    owner's predecessor interval — is fetched with a single direct hop
-    ([chord.net.batch_direct_hits]) instead of a fresh finger walk.
-    Everything else routes exactly as [find_successor], including fault
-    handling; a batch of one key behaves identically to it. *)
-
 val to_ring : t -> Ring.t
 (** Snapshot of the live membership as a converged {!Ring} (independent of
     the nodes' possibly-stale pointers). *)

@@ -1,10 +1,4 @@
-type learned_state = {
-  lring : Chord.Ring.t;
-  model : Learned.Model.t;
-  mutable lookups : int;
-  mutable correction_hops : int;
-  mutable stale_lookups : int;
-}
+type learned_state = { lring : Chord.Ring.t; model : Learned.Model.t }
 
 type t = Chord_ring of Chord.Ring.t | Learned_index of learned_state
 
@@ -18,9 +12,6 @@ let create ~substrate ring =
         model =
           Learned.Model.fit ~keys:(Chord.Ring.node_ids ring) ~max_error
             ~retrain_after;
-        lookups = 0;
-        correction_hops = 0;
-        stale_lookups = 0;
       }
 
 let ring = function Chord_ring r -> r | Learned_index { lring; _ } -> lring
@@ -72,9 +63,6 @@ let learned_lookup ls ~from ~key =
         end
       in
       let hops = if owner = from then 0 else 1 + corrections in
-      ls.lookups <- ls.lookups + 1;
-      ls.correction_hops <- ls.correction_hops + corrections;
-      if stale then ls.stale_lookups <- ls.stale_lookups + 1;
       Obs.Metrics.incr m_lookups;
       Obs.Metrics.add m_messages (hops + 1);
       if stale then Obs.Metrics.incr m_stale;
@@ -118,15 +106,3 @@ let note_churn t ~position =
 let learned_model = function
   | Chord_ring _ -> None
   | Learned_index { model; _ } -> Some model
-
-let learned_lookups = function
-  | Chord_ring _ -> 0
-  | Learned_index ls -> ls.lookups
-
-let learned_correction_hops = function
-  | Chord_ring _ -> 0
-  | Learned_index ls -> ls.correction_hops
-
-let learned_stale_lookups = function
-  | Chord_ring _ -> 0
-  | Learned_index ls -> ls.stale_lookups

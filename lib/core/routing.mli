@@ -62,16 +62,6 @@ val note_churn : t -> position:Chord.Id.t -> unit
     stale and retrains on the configured epoch boundary. *)
 
 val learned_model : t -> Learned.Model.t option
-(** The learned state, for bench staleness reporting ([None] on Chord). *)
-
-(** Deterministic per-substrate tallies (maintained even when
-    {!Obs.Metrics} is disabled, so benches can report without enabling
-    the metrics plane). All zero for Chord — its tallies live in
-    [chord.ring.*] counters as before. *)
-
-val learned_lookups : t -> int
-val learned_correction_hops : t -> int
-(** Total correction hops walked after predicted-node jumps. *)
-
-val learned_stale_lookups : t -> int
-(** Lookups that went through a stale segment (Chord fallback). *)
+(** The learned state, for bench staleness reporting ([None] on Chord).
+    Lookup tallies are the [learned.lookups], [learned.stale_lookups]
+    counters and the [learned.correction_hops] histogram. *)

@@ -2,7 +2,6 @@ module Range = Rangeset.Range
 
 type replication_state = {
   r : int;
-  view : Balance.Replicas.view;
   replicas : (int, int list) Hashtbl.t; (* identifier -> replica positions *)
   tie_rng : Prng.Splitmix.t;
 }
@@ -99,7 +98,6 @@ let create_with_peers ?(config = Config.default) ~seed names =
       Some
         {
           r;
-          view = Balance.Replicas.of_ring ring;
           replicas = Hashtbl.create 64;
           (* Split after every other stream has been drawn, so turning
              replication on leaves the scheme's hash functions untouched. *)
@@ -344,42 +342,78 @@ let m_repairs = Obs.Metrics.counter "system.repairs"
    the timeline shows which peer did the work. *)
 let m_peer_serves = Obs.Metrics.counter ~label:"peer" "system.peer_serves"
 
+(* Inserts unless [peer] already holds the range, recording the insert on
+   the tracker; true when it inserted. *)
 let insert_tracked t peer ~identifier entry =
-  if not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
-  then begin
+  let fresh =
+    not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
+  in
+  if fresh then begin
     Store.insert (Peer.store peer) ~identifier entry;
     Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer)
-  end
+  end;
+  fresh
 
-(* With migration on: the routed ring position, the peer now responsible
-   for the identifier after any slice redirect, and whether a redirect
-   happened. Redirect pointers live in the routing layer, so they apply
-   whether or not the native owner is up; a slice holder that is itself
-   unresponsive falls back to the native owner (whose bucket moved away,
-   so the lookup degrades into an empty answer instead of raising) and
-   the slice stays put for when the holder recovers. *)
-let resolve_home t ~identifier ~owner =
+(* The one bucket copy: slice migration, replica fills, hint replay and
+   replica re-sync all go through here. Entries go oldest first, and
+   insertion prepends, so [dst] ends up with [src]'s bucket order and
+   [Matching.best] breaks ties the same way on either peer. Entries [dst]
+   already holds are skipped; returns how many were copied. *)
+let copy_bucket t ~src ~dst ~identifier =
+  List.fold_left
+    (fun copied entry ->
+      if insert_tracked t dst ~identifier entry then copied + 1 else copied)
+    0
+    (List.rev (Store.peek_bucket (Peer.store src) ~identifier))
+
+let replicas_of t identifier =
+  match t.replication with
+  | None -> []
+  | Some rs -> Option.value (Hashtbl.find_opt rs.replicas identifier) ~default:[]
+
+(* Ring positions holding parked hints for [identifier], oldest first. *)
+let hint_holders t identifier =
+  Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
+
+(* Where a migrated slice puts an identifier's bucket: nowhere new (the
+   routed owner keeps it), at its responsive slice holder, or back on the
+   native owner because the holder (its physical id) is unresponsive. *)
+type home = Native | Holder of Peer.t | Fallback of int
+
+(* Read-only: no Metrics or Trace call, so audits, repair and publish's
+   filter can ask freely. Redirect pointers live in the routing layer, so
+   they apply whether or not the native owner is up. On a [Fallback] the
+   native owner's bucket moved away, so a lookup degrades into an empty
+   answer instead of raising, and the slice stays put for when the holder
+   recovers. *)
+let resolve_home t ~identifier =
   match t.migration with
-  | None -> (owner, false, -1)
+  | None -> Native
   | Some mg -> (
-    let position = position_of t identifier in
-    match Balance.Migration.holder mg ~position ~identifier with
-    | None -> (owner, false, position)
+    match
+      Balance.Migration.holder mg ~position:(position_of t identifier)
+        ~identifier
+    with
+    | None -> Native
     | Some target ->
       let holder = peer_by_id t target in
-      if responsive t holder then (holder, true, position)
-      else begin
-        Obs.Metrics.incr m_migration_fallbacks;
-        Obs.Trace.event_ii "balance.migration_fallback" "identifier" identifier
-          "holder" target;
-        (owner, false, position)
-      end)
+      if responsive t holder then Holder holder else Fallback target)
+
+let home_of t ~identifier ~owner =
+  match resolve_home t ~identifier with
+  | Holder holder -> holder
+  | Native | Fallback _ -> owner
+
+(* A write or a serve that lands on the native owner because the slice
+   holder is down: recorded once per landing, where it lands. *)
+let note_fallback ~identifier ~holder =
+  Obs.Metrics.incr m_migration_fallbacks;
+  Obs.Trace.event_ii "balance.migration_fallback" "identifier" identifier
+    "holder" holder
 
 (* Execute a planned migration: move every bucket of the slice from the
-   source to the target, preserving bucket order (oldest first, as replica
-   copies do) so [Matching.best] tie-breaks survive the move. Background
-   maintenance traffic — not charged to any query's message count, see
-   DESIGN decision 16. *)
+   source to the target. Background maintenance traffic — not charged to
+   any query's message count, see DESIGN decision 16. *)
 let apply_move t (mv : Balance.Migration.move) =
   Obs.Trace.with_span "balance.migrate" (fun () ->
       Obs.Trace.set_int "position" mv.Balance.Migration.position;
@@ -396,15 +430,8 @@ let apply_move t (mv : Balance.Migration.move) =
             Chord.Id.in_interval_oc identifier ~lo:mv.Balance.Migration.lo
               ~hi:mv.Balance.Migration.hi
           then begin
-            let entries =
-              List.rev (Store.peek_bucket (Peer.store source) ~identifier)
-            in
-            List.iter
-              (fun (entry : Store.entry) ->
-                insert_tracked t target ~identifier entry;
-                incr moved)
-              entries;
-            ignore (Store.remove_bucket (Peer.store source) ~identifier : int)
+            ignore (copy_bucket t ~src:source ~dst:target ~identifier : int);
+            moved := !moved + Store.remove_bucket (Peer.store source) ~identifier
           end)
         (Store.identifiers (Peer.store source));
       Obs.Metrics.incr1 m_migrations (Peer.name target);
@@ -441,20 +468,23 @@ let store_at_owners t routes ~range ~partition =
   let entry = { Store.range; partition } in
   List.iter
     (fun (identifier, owner, _) ->
-      let home, _, _ = resolve_home t ~identifier ~owner in
-      if responsive t home then insert_tracked t home ~identifier entry;
-      match t.replication with
-      | None -> ()
-      | Some rs -> (
-        (* Keep live replicas of a replicated bucket in step with it. *)
-        match Hashtbl.find_opt rs.replicas identifier with
-        | None -> ()
-        | Some positions ->
-          List.iter
-            (fun position ->
-              let rp = peer_by_id t position in
-              if responsive t rp then insert_tracked t rp ~identifier entry)
-            positions))
+      let home =
+        match resolve_home t ~identifier with
+        | Native -> owner
+        | Holder holder -> holder
+        | Fallback holder ->
+          note_fallback ~identifier ~holder;
+          owner
+      in
+      if responsive t home then
+        ignore (insert_tracked t home ~identifier entry : bool);
+      (* Keep live replicas of a replicated bucket in step with it. *)
+      List.iter
+        (fun position ->
+          let rp = peer_by_id t position in
+          if responsive t rp then
+            ignore (insert_tracked t rp ~identifier entry : bool))
+        (replicas_of t identifier))
     routes
 
 (* Hinted handoff (only with [Config.hinted_handoff]): a publish whose
@@ -481,10 +511,8 @@ let park_hint t ~from ~identifier ~hops entry =
           let cp = peer_by_id t cpos in
           if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
           then begin
-            insert_tracked t cp ~identifier entry;
-            let holders =
-              Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
-            in
+            ignore (insert_tracked t cp ~identifier entry : bool);
+            let holders = hint_holders t identifier in
             if not (List.mem cpos holders) then
               Hashtbl.replace t.hints identifier (holders @ [ cpos ]);
             Obs.Metrics.incr1 m_hints_parked (Peer.name cp);
@@ -504,8 +532,7 @@ let sorted_keys tbl =
 
 (* Anti-entropy reconciliation after faults heal. Two deterministic
    passes with zero PRNG draws — identifiers in sorted order, bucket
-   entries oldest-first ([Store.identifiers] / reversed [peek_bucket]),
-   exactly like replica copies and migrations:
+   entries through [copy_bucket], like replica copies and migrations:
 
    + every parked hint whose home peer is responsive again replays into
      the home bucket and leaves the holder (unless the holder doubles as
@@ -522,43 +549,24 @@ let repair t =
     Obs.Trace.with_span "repair" (fun () ->
         Obs.Series.mark "system.repair";
         let replayed = ref 0 and resynced = ref 0 in
+        let home_peer identifier =
+          home_of t ~identifier ~owner:(owner_of_identifier t identifier)
+        in
         List.iter
           (fun identifier ->
-            let owner = owner_of_identifier t identifier in
-            let home, _, _ = resolve_home t ~identifier ~owner in
+            let home = home_peer identifier in
             if responsive t home then begin
-              let holders =
-                Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
-              in
               let remaining =
                 List.filter
                   (fun hpos ->
                     let hp = peer_by_id t hpos in
                     if not (responsive t hp) then true (* replay later *)
                     else begin
-                      let entries =
-                        List.rev (Store.peek_bucket (Peer.store hp) ~identifier)
-                      in
-                      List.iter
-                        (fun (entry : Store.entry) ->
-                          if
-                            not
-                              (Store.mem (Peer.store home) ~identifier
-                                 ~range:entry.Store.range)
-                          then begin
-                            insert_tracked t home ~identifier entry;
-                            incr replayed
-                          end)
-                        entries;
-                      let holder_is_replica =
-                        match t.replication with
-                        | None -> false
-                        | Some rs -> (
-                          match Hashtbl.find_opt rs.replicas identifier with
-                          | None -> false
-                          | Some positions -> List.mem hpos positions)
-                      in
-                      if Peer.id hp <> Peer.id home && not holder_is_replica
+                      replayed :=
+                        !replayed + copy_bucket t ~src:hp ~dst:home ~identifier;
+                      if
+                        Peer.id hp <> Peer.id home
+                        && not (List.mem hpos (replicas_of t identifier))
                       then
                         ignore
                           (Store.remove_bucket (Peer.store hp) ~identifier
@@ -567,7 +575,7 @@ let repair t =
                         identifier "holder" hpos;
                       false
                     end)
-                  holders
+                  (hint_holders t identifier)
               in
               if remaining = [] then Hashtbl.remove t.hints identifier
               else Hashtbl.replace t.hints identifier remaining
@@ -578,34 +586,15 @@ let repair t =
         | Some rs ->
           List.iter
             (fun identifier ->
-              let owner = owner_of_identifier t identifier in
-              let home, _, _ = resolve_home t ~identifier ~owner in
-              if responsive t home then begin
-                let entries =
-                  List.rev (Store.peek_bucket (Peer.store home) ~identifier)
-                in
+              let home = home_peer identifier in
+              if responsive t home then
                 List.iter
                   (fun position ->
                     let rp = peer_by_id t position in
                     if Peer.id rp <> Peer.id home && responsive t rp then
-                      List.iter
-                        (fun (entry : Store.entry) ->
-                          if
-                            not
-                              (Store.mem (Peer.store rp) ~identifier
-                                 ~range:entry.Store.range)
-                          then begin
-                            Store.insert (Peer.store rp) ~identifier entry;
-                            Balance.Tracker.record_entry t.tracker
-                              ~peer:(Peer.id rp);
-                            incr resynced
-                          end)
-                        entries
-                  )
-                  (Option.value
-                     (Hashtbl.find_opt rs.replicas identifier)
-                     ~default:[])
-              end)
+                      resynced :=
+                        !resynced + copy_bucket t ~src:home ~dst:rp ~identifier)
+                  (replicas_of t identifier))
             (sorted_keys rs.replicas));
         Obs.Metrics.incr m_repairs;
         Obs.Metrics.add m_hints_replayed !replayed;
@@ -634,41 +623,24 @@ let recover_peer t peer =
 let maintain_replicas t rs ~identifier ~owner =
   if Balance.Tracker.is_hot t.tracker identifier then begin
     let desired =
-      match
-        Balance.Replicas.replica_set rs.view
-          ~alive:(fun position -> responsive t (peer_by_id t position))
-          ~group:(fun position -> Peer.id (peer_by_id t position))
-          ~identifier ~r:rs.r ()
-      with
-      | [] -> []
-      | _owner :: replicas -> replicas
+      (* The set is headed by the identifier's ring owner. *)
+      List.tl
+        (Balance.Replicas.replica_set (ring t)
+           ~alive:(fun position -> responsive t (peer_by_id t position))
+           ~group:(fun position -> Peer.id (peer_by_id t position))
+           ~identifier ~r:rs.r ())
     in
-    let existing =
-      Option.value (Hashtbl.find_opt rs.replicas identifier) ~default:[]
-    in
+    let existing = replicas_of t identifier in
     if desired <> [] && existing = [] then Obs.Metrics.incr m_replications;
     if desired <> existing then Hashtbl.replace rs.replicas identifier desired;
-    if responsive t owner then begin
-      (* Oldest first: insertion prepends, so the copy ends up in the
-         owner's bucket order and tie-breaks in [Matching.best] the same. *)
-      let entries = List.rev (Store.peek_bucket (Peer.store owner) ~identifier) in
+    if responsive t owner then
       List.iter
         (fun position ->
-          let rp = peer_by_id t position in
-          List.iter
-            (fun (entry : Store.entry) ->
-              if
-                not
-                  (Store.mem (Peer.store rp) ~identifier
-                     ~range:entry.Store.range)
-              then begin
-                Store.insert (Peer.store rp) ~identifier entry;
-                Balance.Tracker.record_entry t.tracker ~peer:(Peer.id rp);
-                Obs.Metrics.incr m_replicated_entries
-              end)
-            entries)
+          let copied =
+            copy_bucket t ~src:owner ~dst:(peer_by_id t position) ~identifier
+          in
+          if copied > 0 then Obs.Metrics.add m_replicated_entries copied)
         desired
-    end
   end
   else
     match Hashtbl.find_opt rs.replicas identifier with
@@ -693,10 +665,7 @@ let serving_peer t ~identifier ~owner =
   | None -> if responsive t owner then Some owner else None
   | Some rs -> (
     let members =
-      owner
-      :: (match Hashtbl.find_opt rs.replicas identifier with
-         | None -> []
-         | Some positions -> List.map (peer_by_id t) positions)
+      owner :: List.map (peer_by_id t) (replicas_of t identifier)
       |> List.filter (responsive t)
     in
     match members with
@@ -729,25 +698,21 @@ let serving_peer t ~identifier ~owner =
 let hint_serve t ~contact ~effective ~identifier ~hops =
   if not t.config.Config.hinted_handoff then None
   else
-    match Hashtbl.find_opt t.hints identifier with
-    | None | Some [] -> None
-    | Some holders ->
-      let rec try_holders = function
-        | [] -> None
-        | hpos :: rest ->
-          let hp = peer_by_id t hpos in
-          if responsive t hp && contact hp ~hops:(hops + 1) then begin
-            let reply =
-              Matching.best t.config.Config.matching ~query:effective
-                (Store.bucket (Peer.store hp) ~identifier)
-            in
-            Balance.Tracker.record_query t.tracker ~peer:(Peer.id hp)
-              ~identifier;
-            Some (reply, hpos)
-          end
-          else try_holders rest
-      in
-      try_holders holders
+    let rec try_holders = function
+      | [] -> None
+      | hpos :: rest ->
+        let hp = peer_by_id t hpos in
+        if responsive t hp && contact hp ~hops:(hops + 1) then begin
+          let reply =
+            Matching.best t.config.Config.matching ~query:effective
+              (Store.bucket (Peer.store hp) ~identifier)
+          in
+          Balance.Tracker.record_query t.tracker ~peer:(Peer.id hp) ~identifier;
+          Some (reply, hpos)
+        end
+        else try_holders rest
+    in
+    try_holders (hint_holders t identifier)
 
 (* One serve per routed identifier: pick the serving peer, contact it
    across the fault plane (one retried RPC spanning the route's hops),
@@ -770,15 +735,19 @@ let serve_routes t ~contact ~effective ~batched routes =
           Obs.Trace.set_int "route_hops" hops;
           (* Migrated slices pull the lookup's home off the native owner
              before replica selection even starts. *)
-          let home, redirected, position =
-            resolve_home t ~identifier ~owner
+          let home, redirected =
+            match resolve_home t ~identifier with
+            | Native -> (owner, false)
+            | Holder holder ->
+              Obs.Metrics.incr m_migration_redirects;
+              Obs.Trace.set_int "home" (Peer.id holder);
+              Obs.Trace.event_ii "balance.migration_redirect" "identifier"
+                identifier "holder" (Peer.id holder);
+              (holder, true)
+            | Fallback holder ->
+              note_fallback ~identifier ~holder;
+              (owner, false)
           in
-          if redirected then begin
-            Obs.Metrics.incr m_migration_redirects;
-            Obs.Trace.set_int "home" (Peer.id home);
-            Obs.Trace.event_ii "balance.migration_redirect" "identifier"
-              identifier "holder" (Peer.id home)
-          end;
           (* Nobody in the owner/replica set answered: fall back to a
              parked hint before giving the lookup up. *)
           let unanswered () =
@@ -818,7 +787,8 @@ let serve_routes t ~contact ~effective ~batched routes =
                   (* The planner's round loads: the actual server for
                      overload detection, the served segment for choosing
                      what an overloaded holder sheds. *)
-                  Balance.Migration.note_serve mg ~position ~identifier
+                  Balance.Migration.note_serve mg
+                    ~position:(position_of t identifier) ~identifier
                     ~peer:(Peer.id peer)
                 | None -> ());
                 (match t.replication with
@@ -881,32 +851,23 @@ let publish t ~from ?partition range =
       (* Each owner store is one retried contact across the plane; an owner
          that never answers simply misses this publication — unless hinted
          handoff is on, in which case the tuple parks at the first live
-         successor instead. *)
+         successor instead. With hints on, retries come first (dead peers
+         under a plane still cost their timeout), then liveness: a
+         fail_peer'ed home answers the plane but must not keep the only
+         copy. *)
+      let hinted = t.config.Config.hinted_handoff in
       let reached =
-        match (t.faults, t.config.Config.hinted_handoff) with
-        | None, false -> routes
-        | Some _, false ->
-          List.filter
-            (fun (identifier, owner, hops) ->
-              let home, _, _ = resolve_home t ~identifier ~owner in
-              contact_peer t ~from ~peer:home ~legs:(hops + 1))
-            routes
-        | _, true ->
-          List.filter
-            (fun (identifier, owner, hops) ->
-              let home, _, _ = resolve_home t ~identifier ~owner in
-              (* Retries first (dead peers under a plane still cost their
-                 timeout), then liveness: a fail_peer'ed home answers the
-                 plane but must not keep the only copy. *)
-              let ok =
-                contact_peer t ~from ~peer:home ~legs:(hops + 1)
-                && responsive t home
-              in
-              if not ok then
-                park_hint t ~from ~identifier ~hops
-                  { Store.range; partition };
-              ok)
-            routes
+        List.filter
+          (fun (identifier, owner, hops) ->
+            let home = home_of t ~identifier ~owner in
+            let ok =
+              contact_peer t ~from ~peer:home ~legs:(hops + 1)
+              && ((not hinted) || responsive t home)
+            in
+            if (not ok) && hinted then
+              park_hint t ~from ~identifier ~hops { Store.range; partition };
+            ok)
+          routes
       in
       store_at_owners t reached ~range ~partition;
       let stats = stats_of_hops ids (List.map (fun (_, _, h) -> h) routes) in
@@ -1170,30 +1131,13 @@ let check_invariants_detailed t =
      replica, or a responsive hint holder. *)
   let checked = Hashtbl.create 64 in
   let reachable identifier =
-    let owner = owner_of_identifier t identifier in
-    let home, _, _ = resolve_home t ~identifier ~owner in
-    let has peer = Store.peek_bucket (Peer.store peer) ~identifier <> [] in
-    (responsive t home && has home)
-    || (match t.replication with
-       | None -> false
-       | Some rs -> (
-         match Hashtbl.find_opt rs.replicas identifier with
-         | None -> false
-         | Some positions ->
-           List.exists
-             (fun pos ->
-               let rp = peer_by_id t pos in
-               responsive t rp && has rp)
-             positions))
-    ||
-    match Hashtbl.find_opt t.hints identifier with
-    | None -> false
-    | Some holders ->
-      List.exists
-        (fun hpos ->
-          let hp = peer_by_id t hpos in
-          responsive t hp && has hp)
-        holders
+    let serves peer =
+      responsive t peer && Store.peek_bucket (Peer.store peer) ~identifier <> []
+    in
+    let serves_at position = serves (peer_by_id t position) in
+    serves (home_of t ~identifier ~owner:(owner_of_identifier t identifier))
+    || List.exists serves_at (replicas_of t identifier)
+    || List.exists serves_at (hint_holders t identifier)
   in
   Array.iter
     (fun p ->
@@ -1217,7 +1161,7 @@ let check_invariants_detailed t =
   | Some rs ->
     List.iter
       (fun identifier ->
-        let positions = Hashtbl.find rs.replicas identifier in
+        let positions = replicas_of t identifier in
         let owner = owner_of_identifier t identifier in
         if
           List.length (List.sort_uniq Int.compare positions)

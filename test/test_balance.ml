@@ -174,7 +174,7 @@ let tracker_cache_invalidation () =
 (* --- Replicas ------------------------------------------------------ *)
 
 let five_node_view () =
-  Replicas.of_ring (Chord.Ring.create ~ids:[ 100; 200; 300; 400; 500 ])
+  Chord.Ring.create ~ids:[ 100; 200; 300; 400; 500 ]
 
 let replicas_on_ring () =
   let view = five_node_view () in

@@ -190,51 +190,6 @@ let route_cache_never_longer () =
   Alcotest.(check bool) "cache learned addresses" true
     (Chord.Ring.Route_cache.known cache > List.length [ from ])
 
-(* Batched dynamic-network resolution: owners agree with the one-off path,
-   repeats are free, and direct hits never route longer. *)
-let network_find_successors () =
-  let build () =
-    let ids = List.init 24 (fun i -> ((i + 3) * 104729) land 0xFFFFFFFF) in
-    let net = Chord.Network.create () in
-    (match ids with
-    | first :: rest ->
-      Chord.Network.add_first net first;
-      List.iter
-        (fun id ->
-          Chord.Network.join net id ~via:first;
-          Chord.Network.stabilize net ~rounds:2)
-        rest
-    | [] -> assert false);
-    Chord.Network.stabilize net ~rounds:8;
-    Alcotest.(check bool) "converged" true (Chord.Network.is_converged net);
-    net
-  in
-  let net = build () and net' = build () in
-  let from = List.hd (Chord.Network.node_ids net) in
-  let rng = Prng.Splitmix.create 5L in
-  let keys = List.init 40 (fun _ -> Prng.Splitmix.int rng Chord.Id.modulus) in
-  let keys = keys @ List.filteri (fun i _ -> i < 10) keys in
-  let batched = Chord.Network.find_successors net ~from keys in
-  Alcotest.(check int) "one result per key" (List.length keys)
-    (List.length batched);
-  List.iter
-    (fun (key, result) ->
-      match (result, Chord.Network.find_successor net' ~from ~key) with
-      | Some (owner, hops), Some (owner', hops') ->
-        Alcotest.(check int) "same owner as the one-off path" owner' owner;
-        Alcotest.(check bool)
-          (Printf.sprintf "never longer (%d <= %d)" hops hops')
-          true (hops <= hops')
-      | None, None -> ()
-      | Some _, None | None, Some _ ->
-        Alcotest.fail "batched and one-off resolution disagree")
-    batched;
-  (* The duplicated tail replays the memo of the first 10 keys. *)
-  let first10 = List.filteri (fun i _ -> i < 10) batched in
-  let tail10 = List.filteri (fun i _ -> i >= 40) batched in
-  Alcotest.(check bool) "repeated keys replay the memo" true
-    (List.map snd first10 = List.map snd tail10)
-
 (* Batching composes with the fault plane and hot-bucket replication: the
    pipeline degrades gracefully and, at this seeded fault mix, batched
    recall never falls below the sequential run on an identically-seeded
@@ -363,8 +318,6 @@ let suite =
     Alcotest.test_case "system signature memo" `Quick system_signature_cache;
     Alcotest.test_case "cached ring lookups never route longer" `Quick
       route_cache_never_longer;
-    Alcotest.test_case "batched network resolution matches one-off" `Quick
-      network_find_successors;
     Alcotest.test_case "batching composes with faults and replication" `Quick
       batch_faults_replication_compose;
     Alcotest.test_case "engine batch execution matches sequential" `Quick

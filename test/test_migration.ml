@@ -321,6 +321,90 @@ let holder_crash_falls_back () =
     (r.Query_result.matched <> None);
   Alcotest.(check (float 1e-9)) "exact again" 1.0 r.Query_result.recall
 
+(* A fallback is recorded where a write lands on the native owner because
+   the slice holder is down: one publish to the slice counts exactly one,
+   hints on or off, while the read-only audit and repair (here replaying
+   a hint parked for the slice's identifier) count none and emit no
+   fallback trace event. *)
+let fallback_counted_once_per_landing () =
+  let fallbacks = Obs.Metrics.counter "balance.migration_fallbacks" in
+  let fallback_events () =
+    List.fold_left
+      (fun acc span ->
+        acc
+        + List.length
+            (List.filter
+               (fun (name, _, _) -> name = "balance.migration_fallback")
+               (Obs.Trace.span_events span)))
+      0 (Obs.Trace.spans ())
+  in
+  let delta f =
+    let before = Obs.Metrics.counter_value fallbacks in
+    Obs.Trace.with_span "probe" f;
+    Obs.Metrics.counter_value fallbacks - before
+  in
+  let metrics = Obs.Metrics.enabled () and trace = Obs.Trace.enabled () in
+  Obs.Metrics.enable ();
+  List.iter
+    (fun hinted_handoff ->
+      let mode = if hinted_handoff then "hints on" else "hints off" in
+      let config =
+        { base_config with
+          Config.hinted_handoff;
+          balancing =
+            Config.Migrate
+              { Config.check_every = 16;
+                overload = 1.5;
+                cooldown = 1;
+                min_share = 8;
+                window = 2048;
+              };
+        }
+      in
+      let s = Sys_.create ~config ~seed:7L ~n_peers:8 () in
+      let range = mk 30 50 in
+      let owner =
+        Sys_.owner_of_identifier s (List.hd (Sys_.identifiers s range))
+      in
+      let from =
+        List.find (fun p -> Peer.name p <> Peer.name owner) (Sys_.peers s)
+      in
+      let _ = Sys_.publish s ~from range in
+      for _ = 1 to 20 do
+        ignore (Sys_.query s ~from range : Query_result.t)
+      done;
+      Alcotest.(check bool) (mode ^ ": slice migrated") true
+        (Sys_.migrations s >= 1);
+      (* The planner's target: the first-created peer that is not the
+         source, which is [from]. *)
+      Sys_.fail_peer s from;
+      Obs.Trace.reset ();
+      Obs.Trace.enable ();
+      Alcotest.(check int) (mode ^ ": one publish, one fallback") 1
+        (delta (fun () -> ignore (Sys_.publish s ~from range)));
+      Alcotest.(check int) (mode ^ ": one fallback event") 1 (fallback_events ());
+      if hinted_handoff then begin
+        Sys_.fail_peer s owner;
+        ignore (Sys_.publish s ~from range);
+        Alcotest.(check int) "hint parked" 1 (Sys_.parked_hints s);
+        Obs.Trace.reset ();
+        (* Recovery runs repair, which replays the hint into its home. *)
+        Alcotest.(check int) "hint replay records none" 0
+          (delta (fun () -> Sys_.recover_peer s owner));
+        Alcotest.(check int) "hint replayed" 0 (Sys_.parked_hints s)
+      end
+      else Obs.Trace.reset ();
+      Alcotest.(check int) (mode ^ ": audit records none") 0
+        (delta (fun () -> ignore (Sys_.check_invariants s : string list)));
+      Alcotest.(check int) (mode ^ ": repair records none") 0
+        (delta (fun () -> Sys_.repair s));
+      Alcotest.(check int) (mode ^ ": no fallback event") 0
+        (fallback_events ());
+      Obs.Trace.reset ();
+      if not trace then Obs.Trace.disable ())
+    [ false; true ];
+  if not metrics then Obs.Metrics.disable ()
+
 (* Replicate_and_migrate composes: fault-free it stays transparent, both
    mechanisms actually run, and after the hottest peers fail its recall
    floor is no worse than the unbalanced system's. *)
@@ -386,6 +470,8 @@ let suite =
       wiring_inert_until_triggered;
     Alcotest.test_case "holder crash falls back cleanly" `Quick
       holder_crash_falls_back;
+    Alcotest.test_case "one fallback per landing, none from audits" `Quick
+      fallback_counted_once_per_landing;
     Alcotest.test_case "replicate-and-migrate recall floor" `Quick
       composition_recall_floor;
   ]
