@@ -20,11 +20,26 @@ val better : scored -> scored -> scored
     buckets and across the [l] owners' replies, so the protocol's choice
     equals a global best over all candidates. *)
 
+type pick
+(** The running best of one {!select} pass. *)
+
+val select :
+  Config.matching ->
+  query:Rangeset.Range.t ->
+  ((pick -> Store.entry -> pick) -> pick -> pick) ->
+  scored option
+(** [select matching ~query fold] is the best candidate that [fold step
+    init] feeds to [step]: highest score; ties broken toward the smaller
+    range (less data to ship), then toward the candidate fed first —
+    {!better}'s order. [None] when nothing was fed, and entries scoring 0
+    (disjoint from the query) are never returned as matches. The pass
+    allocates nothing per candidate; only the winner is scored into a
+    record, by {!score}. The serve path passes
+    [Store.fold_bucket store ~identifier]. *)
+
 val best :
   Config.matching -> query:Rangeset.Range.t -> Store.entry list -> scored option
-(** Highest score; ties broken toward the candidate with the smaller range
-    (less data to ship). [None] on the empty list, and entries scoring 0
-    (disjoint from the query) are never returned as matches. *)
+(** {!select} over a list, first element fed first. *)
 
 val is_exact : query:Rangeset.Range.t -> scored -> bool
 (** Whether the matched range equals the query exactly — the condition under

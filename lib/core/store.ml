@@ -42,14 +42,18 @@ let tick t =
 let raw_bucket t identifier =
   Option.value (Hashtbl.find_opt t.buckets identifier) ~default:[]
 
-let bucket t ~identifier =
+let fold_bucket t ~identifier f init =
   let stamped = raw_bucket t identifier in
-  (match t.policy with
+  match t.policy with
   | Lru _ ->
     let now = tick t in
-    List.iter (fun s -> s.stamp <- now) stamped
-  | Unbounded | Fifo _ -> ());
-  List.map (fun s -> s.entry) stamped
+    List.fold_left
+      (fun acc s ->
+        s.stamp <- now;
+        f acc s.entry)
+      init stamped
+  | Unbounded | Fifo _ ->
+    List.fold_left (fun acc s -> f acc s.entry) init stamped
 
 let peek_bucket t ~identifier =
   List.map (fun s -> s.entry) (raw_bucket t identifier)
@@ -90,14 +94,16 @@ let evict_one t =
     t.evictions <- t.evictions + 1
 
 let insert t ~identifier entry =
-  if not (mem t ~identifier ~range:entry.range) then begin
+  let fresh = not (mem t ~identifier ~range:entry.range) in
+  if fresh then begin
     while t.entries >= capacity_of t.policy do
       evict_one t
     done;
     let stamped = { entry; stamp = tick t } in
     Hashtbl.replace t.buckets identifier (stamped :: raw_bucket t identifier);
     t.entries <- t.entries + 1
-  end
+  end;
+  fresh
 
 let identifiers t =
   Hashtbl.fold (fun identifier _ acc -> identifier :: acc) t.buckets []

@@ -30,19 +30,24 @@ val create : ?policy:policy -> unit -> t
 
 val policy : t -> policy
 
-val insert : t -> identifier:Chord.Id.t -> entry -> unit
+val insert : t -> identifier:Chord.Id.t -> entry -> bool
 (** Idempotent per (identifier, range): re-inserting an already-present
     range leaves the bucket unchanged (the paper caches a range only "if it
     is not already stored"). May trigger an eviction first when the store
-    is at capacity. *)
+    is at capacity. True when it inserted; one scan of the bucket either
+    way. *)
 
-val bucket : t -> identifier:Chord.Id.t -> entry list
-(** Entries under one identifier; empty if none. Under [Lru] this counts as
-    a use of every returned entry. *)
+val fold_bucket :
+  t -> identifier:Chord.Id.t -> ('a -> entry -> 'a) -> 'a -> 'a
+(** Folds over the entries under one identifier, newest first, without
+    copying the bucket — the serve path's read. Under [Lru] this counts as
+    a use of every entry: the store's clock ticks once per call, even on
+    an empty bucket, and each entry takes the new stamp. *)
 
 val peek_bucket : t -> identifier:Chord.Id.t -> entry list
-(** Like {!bucket} but never refreshes LRU stamps — for maintenance reads
-    (replica copying, debugging) that must not perturb eviction order. *)
+(** The entries under one identifier, newest first; empty if none. Never
+    refreshes LRU stamps — for maintenance reads (replica copying,
+    debugging) that must not perturb eviction order. *)
 
 val remove_bucket : t -> identifier:Chord.Id.t -> int
 (** Drops every entry under one identifier (a replica shedding a bucket it

@@ -345,19 +345,14 @@ let m_peer_serves = Obs.Metrics.counter ~label:"peer" "system.peer_serves"
 (* Inserts unless [peer] already holds the range, recording the insert on
    the tracker; true when it inserted. *)
 let insert_tracked t peer ~identifier entry =
-  let fresh =
-    not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
-  in
-  if fresh then begin
-    Store.insert (Peer.store peer) ~identifier entry;
-    Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer)
-  end;
+  let fresh = Store.insert (Peer.store peer) ~identifier entry in
+  if fresh then Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer);
   fresh
 
 (* The one bucket copy: slice migration, replica fills, hint replay and
    replica re-sync all go through here. Entries go oldest first, and
    insertion prepends, so [dst] ends up with [src]'s bucket order and
-   [Matching.best] breaks ties the same way on either peer. Entries [dst]
+   [Matching.select] breaks ties the same way on either peer. Entries [dst]
    already holds are skipped; returns how many were copied. *)
 let copy_bucket t ~src ~dst ~identifier =
   List.fold_left
@@ -704,8 +699,8 @@ let hint_serve t ~contact ~effective ~identifier ~hops =
         let hp = peer_by_id t hpos in
         if responsive t hp && contact hp ~hops:(hops + 1) then begin
           let reply =
-            Matching.best t.config.Config.matching ~query:effective
-              (Store.bucket (Peer.store hp) ~identifier)
+            Matching.select t.config.Config.matching ~query:effective
+              (Store.fold_bucket (Peer.store hp) ~identifier)
           in
           Balance.Tracker.record_query t.tracker ~peer:(Peer.id hp) ~identifier;
           Some (reply, hpos)
@@ -771,13 +766,13 @@ let serve_routes t ~contact ~effective ~batched routes =
               if not (contact peer ~hops) then unanswered ()
               else begin
                 let reply =
-                  let candidates =
-                    if t.config.Config.peer_index then
-                      Store.all_entries (Peer.store peer)
-                    else Store.bucket (Peer.store peer) ~identifier
-                  in
-                  Matching.best t.config.Config.matching ~query:effective
-                    candidates
+                  let matching = t.config.Config.matching in
+                  if t.config.Config.peer_index then
+                    Matching.best matching ~query:effective
+                      (Store.all_entries (Peer.store peer))
+                  else
+                    Matching.select matching ~query:effective
+                      (Store.fold_bucket (Peer.store peer) ~identifier)
                 in
                 Balance.Tracker.record_query t.tracker ~peer:(Peer.id peer)
                   ~identifier;
@@ -840,6 +835,16 @@ let h_query_messages = Obs.Metrics.histogram "system.query.messages"
 let m_degraded = Obs.Metrics.counter "system.degraded_queries"
 let m_unanswered_owners = Obs.Metrics.counter "system.unanswered_owners"
 
+(* [List.filter] that returns its input list itself when [keep] holds for
+   every element, so a publish that drops no route copies nothing. [keep]
+   runs once per element, in order. *)
+let rec filter_shared keep = function
+  | [] -> []
+  | x :: rest as l ->
+    let kept = keep x in
+    let rest' = filter_shared keep rest in
+    if not kept then rest' else if rest' == rest then l else x :: rest'
+
 let publish t ~from ?partition range =
   Obs.Trace.with_span "publish" (fun () ->
       Obs.Trace.set_string "from" (Peer.name from);
@@ -857,7 +862,7 @@ let publish t ~from ?partition range =
          copy. *)
       let hinted = t.config.Config.hinted_handoff in
       let reached =
-        List.filter
+        filter_shared
           (fun (identifier, owner, hops) ->
             let home = home_of t ~identifier ~owner in
             let ok =

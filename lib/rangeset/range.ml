@@ -22,8 +22,10 @@ let intersect a b =
   let lo = Stdlib.max a.lo b.lo and hi = Stdlib.min a.hi b.hi in
   if hi < lo then None else Some { lo; hi }
 
+(* Int-only, so the similarity measures below allocate nothing. *)
 let overlap_cardinal a b =
-  match intersect a b with None -> 0 | Some r -> cardinal r
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
+  if hi < lo then 0 else hi - lo + 1
 
 let union_cardinal a b = cardinal a + cardinal b - overlap_cardinal a b
 
