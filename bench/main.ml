@@ -896,7 +896,7 @@ let balance_bench () =
   (* Spread placement (Mix32): peers own near-equal identifier segments, so
      the imbalance measured here is the genuinely-hot-identifier kind that
      per-bucket replication can fix (raw placement's imbalance is segment
-     clustering — that is virtual_nodes/Mix32 territory). *)
+     clustering — that is Mix32 territory). *)
   (* l = 1: one identifier per range, so a failed owner is the only native
      holder of its buckets and failover is actually load-bearing (at the
      paper's l = 5 any of five owners can answer, masking failures). *)

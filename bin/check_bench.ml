@@ -92,7 +92,7 @@ let check_against_baseline ~name current baseline =
   check_identical ~section:name ~what:"histogram" (fields "histograms" cm)
     (fields "histograms" bm);
   (* Everything under "counters"/"gauges"/"histograms" is deterministic
-     by construction: wall-clock readings (timers, qps gauges) live in
+     by construction: wall-clock readings (qps gauges) live in
      the snapshot's separate "wall" subtree, which is never compared. *)
   check_identical ~section:name ~what:"gauge" (fields "gauges" cm)
     (fields "gauges" bm);

@@ -26,7 +26,7 @@ let seed_t =
 
 let json_t =
   let doc =
-    "Enable the metrics registry and write its snapshot (counters, timers, \
+    "Enable the metrics registry and write its snapshot (counters, gauges, \
      histograms — hops, messages, cache hit rates) to $(docv) as JSON."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)

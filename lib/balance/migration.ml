@@ -18,13 +18,12 @@ type seg = { lo : Chord.Id.t; hi : Chord.Id.t; holder : int }
    target peer. *)
 let m_planned_moves = Obs.Metrics.counter "balance.planned_moves"
 
-(* Per ring position: the physical peer that owns it natively, and the
-   segments its (predecessor, position] interval has been split into.
-   The list always partitions the interval; every migration splits one
+(* Per split ring position: the segments its (predecessor, position]
+   interval has been split into. A position is its native peer's id. The
+   list always partitions the interval; every migration splits one
    segment in two, so slices stay contiguous and disjoint — and a slice
-   is just a segment whose holder is not the native peer, which makes
+   is just a segment whose holder is not the position, which makes
    received slices re-splittable exactly like native remainders. *)
-type position_state = { native : int; mutable segs : seg list }
 
 type move = {
   position : Chord.Id.t;
@@ -39,14 +38,14 @@ type t = {
   mutable clock : int; (* queries ticked so far *)
   mutable rounds : int; (* planner rounds run so far *)
   mutable migrations : int;
-  (* Serves this round by the physical peer that answered. *)
+  (* Serves this round by the peer that answered. *)
   round_peer : (int, int) Hashtbl.t;
   (* Serves this round by segment, keyed (position, seg.lo); untouched
      positions use the sentinel key (position, position) for their whole
      interval. Segment lists only change inside [plan], which also resets
      this table, so keys are stable within a round. *)
   round_seg : (Chord.Id.t * Chord.Id.t, int) Hashtbl.t;
-  states : (Chord.Id.t, position_state) Hashtbl.t;
+  states : (Chord.Id.t, seg list) Hashtbl.t;
   (* peer -> round index through which it sits out (hysteresis). *)
   cooling : (int, int) Hashtbl.t;
 }
@@ -69,9 +68,8 @@ let rounds t = t.rounds
 
 let slice_count t =
   Hashtbl.fold
-    (fun _ state acc ->
-      acc
-      + List.length (List.filter (fun s -> s.holder <> state.native) state.segs))
+    (fun position segs acc ->
+      acc + List.length (List.filter (fun s -> s.holder <> position) segs))
     t.states 0
 
 let split_positions t =
@@ -81,19 +79,19 @@ let split_positions t =
 let segments t ~position =
   match Hashtbl.find_opt t.states position with
   | None -> []
-  | Some state -> List.map (fun (s : seg) -> (s.lo, s.hi, s.holder)) state.segs
+  | Some segs -> List.map (fun (s : seg) -> (s.lo, s.hi, s.holder)) segs
 
-let seg_of state identifier =
+let seg_of segs identifier =
   List.find_opt
     (fun (s : seg) -> Chord.Id.in_interval_oc identifier ~lo:s.lo ~hi:s.hi)
-    state.segs
+    segs
 
 let holder t ~position ~identifier =
   match Hashtbl.find_opt t.states position with
   | None -> None
-  | Some state -> (
-    match seg_of state identifier with
-    | Some s when s.holder <> state.native -> Some s.holder
+  | Some segs -> (
+    match seg_of segs identifier with
+    | Some s when s.holder <> position -> Some s.holder
     | Some _ | None -> None)
 
 let count table key = Option.value (Hashtbl.find_opt table key) ~default:0
@@ -105,8 +103,8 @@ let note_serve t ~position ~identifier ~peer =
   let seg_key =
     match Hashtbl.find_opt t.states position with
     | None -> (position, position)
-    | Some state -> (
-      match seg_of state identifier with
+    | Some segs -> (
+      match seg_of segs identifier with
       | Some s -> (position, s.lo)
       | None -> (position, position))
   in
@@ -120,7 +118,7 @@ let cooling t peer =
 (* One balancing round. Deterministic throughout: peers are scanned in
    the caller's (creation) order, so ties break identically run to run,
    and nothing draws randomness. At most one migration per round. *)
-let plan t ~peers ~responsive ~positions ~predecessor ~scores =
+let plan t ~peers ~responsive ~predecessor ~scores =
   t.rounds <- t.rounds + 1;
   let load p = count t.round_peer p in
   let total = List.fold_left (fun acc p -> acc + load p) 0 peers in
@@ -165,32 +163,28 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
             | Some (_, _, _, bh) when bh >= heat -> best
             | Some _ | None -> Some (position, lo, hi, heat)
         in
-        (* Untouched positions of the source itself (sentinel key: the
+        (* The source's own position while untouched (sentinel key: the
            whole interval)… *)
         let best =
-          List.fold_left
-            (fun best position ->
-              match Hashtbl.find_opt t.states position with
-              | Some _ -> best
-              | None ->
-                consider best ~position ~key:position
-                  ~lo:(predecessor position) ~hi:position)
-            None (positions source)
+          if Hashtbl.mem t.states source then None
+          else
+            consider None ~position:source ~key:source
+              ~lo:(predecessor source) ~hi:source
         in
         (* …then every segment the source holds at any split position. *)
         let best =
           Hashtbl.fold
-            (fun position state acc -> (position, state) :: acc)
+            (fun position segs acc -> (position, segs) :: acc)
             t.states []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
           |> List.fold_left
-               (fun best (position, state) ->
+               (fun best (position, segs) ->
                  List.fold_left
                    (fun best (s : seg) ->
                      if s.holder = source then
                        consider best ~position ~key:s.lo ~lo:s.lo ~hi:s.hi
                      else best)
-                   best state.segs)
+                   best segs)
                best
         in
         match best with
@@ -216,28 +210,21 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
             let lo, hi, keep_lo, keep_hi =
               if s_low >= s_high then (a, mid, mid, b) else (mid, b, a, mid)
             in
-            let state =
+            let segs =
               match Hashtbl.find_opt t.states position with
-              | Some state -> state
-              | None ->
-                let state =
-                  { native = source;
-                    segs = [ { lo = a; hi = b; holder = source } ];
-                  }
-                in
-                Hashtbl.replace t.states position state;
-                state
+              | Some segs -> segs
+              | None -> [ { lo = a; hi = b; holder = source } ]
             in
-            state.segs <-
-              List.concat_map
-                (fun (s : seg) ->
-                  if s.lo = a && s.hi = b then
-                    [
-                      { lo; hi; holder = target };
-                      { lo = keep_lo; hi = keep_hi; holder = s.holder };
-                    ]
-                  else [ s ])
-                state.segs;
+            Hashtbl.replace t.states position
+              (List.concat_map
+                 (fun (s : seg) ->
+                   if s.lo = a && s.hi = b then
+                     [
+                       { lo; hi; holder = target };
+                       { lo = keep_lo; hi = keep_hi; holder = s.holder };
+                     ]
+                   else [ s ])
+                 segs);
             let until = t.rounds + t.spec.cooldown in
             Hashtbl.replace t.cooling source until;
             Hashtbl.replace t.cooling target until;
@@ -252,8 +239,8 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
   Hashtbl.reset t.round_peer;
   decision
 
-let tick t ~peers ~responsive ~positions ~predecessor ~scores =
+let tick t ~peers ~responsive ~predecessor ~scores =
   t.clock <- t.clock + 1;
   if t.clock mod t.spec.check_every = 0 then
-    plan t ~peers ~responsive ~positions ~predecessor ~scores
+    plan t ~peers ~responsive ~predecessor ~scores
   else None

@@ -47,8 +47,8 @@ val validate_spec : spec -> unit
 
 type move = {
   position : Chord.Id.t;  (** ring position whose segment was split *)
-  source : int;  (** physical peer shedding the slice *)
-  target : int;  (** physical peer receiving it *)
+  source : int;  (** peer shedding the slice *)
+  target : int;  (** peer receiving it *)
   lo : Chord.Id.t;
   hi : Chord.Id.t;  (** the migrated slice, circular [(lo, hi\]] *)
 }
@@ -59,14 +59,14 @@ val create : spec -> t
 (** @raise Invalid_argument like {!validate_spec}. *)
 
 val holder : t -> position:Chord.Id.t -> identifier:Chord.Id.t -> int option
-(** The physical peer a lookup for [identifier], routed to ring position
+(** The peer a lookup for [identifier], routed to ring position
     [position], has been migrated to — [None] when the identifier is
-    still natively held. *)
+    still held by the position's own peer. *)
 
 val note_serve :
   t -> position:Chord.Id.t -> identifier:Chord.Id.t -> peer:int -> unit
-(** Charge one served lookup to the current round: to [peer] (physical
-    id of the peer that answered) for overload detection, and to the
+(** Charge one served lookup to the current round: to [peer] (the id of
+    the peer that answered) for overload detection, and to the
     segment of [position] containing [identifier] for choosing what an
     overloaded holder sheds. *)
 
@@ -74,14 +74,13 @@ val tick :
   t ->
   peers:int list ->
   responsive:(int -> bool) ->
-  positions:(int -> Chord.Id.t list) ->
   predecessor:(Chord.Id.t -> Chord.Id.t) ->
   scores:(unit -> (Chord.Id.t * int) list) ->
   move option
 (** Advance the logical clock by one query. Every [check_every] ticks a
-    balancing round runs over [peers] (physical ids, creation order —
-    the deterministic tie-break order), consulting [responsive] for
-    liveness, [positions] for a peer's ring positions, [predecessor] for
+    balancing round runs over [peers] (peer ids, which are also their
+    ring positions, in creation order — the deterministic tie-break
+    order), consulting [responsive] for liveness, [predecessor] for
     initial segment bounds, and [scores] for windowed identifier scores.
     Returns the move planned this round, which the caller must execute
     (copy the slice's buckets to [move.target]); the planner has already

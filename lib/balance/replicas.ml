@@ -1,28 +1,22 @@
-let replica_set ring ?(alive = fun _ -> true) ?(group = fun id -> id)
-    ~identifier ~r () =
+let replica_set ring ?(alive = fun _ -> true) ~identifier ~r () =
   if r < 1 then invalid_arg "Replicas.replica_set: r must be >= 1";
   Obs.Trace.with_span "balance.replica_set" (fun () ->
       Obs.Trace.set_int "identifier" identifier;
       Obs.Trace.set_int "r" r;
       let owner = Chord.Ring.owner ring identifier in
-      let taken = Hashtbl.create (r + 1) in
-      Hashtbl.replace taken (group owner) ();
+      (* One successor at a time, nearest first, over a bounded stretch of
+         the ring so a run of dead nodes cannot send the walk all the way
+         round. *)
+      let rec walk node left chosen acc =
+        if chosen = r || left = 0 then List.rev acc
+        else
+          let next = Chord.Ring.successor ring node in
+          if alive next then walk next (left - 1) (chosen + 1) (next :: acc)
+          else walk next (left - 1) chosen acc
+      in
       let replicas =
-        List.fold_left
-          (fun acc node ->
-            if List.length acc >= r then acc
-            else
-              let g = group node in
-              if Hashtbl.mem taken g || not (alive node) then acc
-              else begin
-                Hashtbl.replace taken g ();
-                node :: acc
-              end)
-          []
-          (* Walk far enough that grouped (virtual-node) duplicates and dead
-             nodes cannot exhaust the candidate list prematurely. *)
-          (Chord.Ring.successors ring owner ((r + 1) * 8))
+        walk owner (Stdlib.min ((r + 1) * 8) (Chord.Ring.size ring - 1)) 0 []
       in
       Obs.Trace.set_int "owner" owner;
       Obs.Trace.set_int "chosen" (1 + List.length replicas);
-      owner :: List.rev replicas)
+      owner :: replicas)

@@ -10,18 +10,14 @@
 val replica_set :
   Chord.Ring.t ->
   ?alive:(Chord.Id.t -> bool) ->
-  ?group:(Chord.Id.t -> int) ->
   identifier:Chord.Id.t ->
   r:int ->
   unit ->
   Chord.Id.t list
 (** [replica_set ring ~identifier ~r ()] is the owner of [identifier]
-    followed by up to [r] replica nodes, read off the ring's successors
-    clockwise ({!Chord.Ring.successors}). [alive] filters candidate
-    replicas (default: everyone); [group] maps a node to the physical
-    peer it belongs to (default: identity) so that with virtual nodes the
-    [r] replicas land on [r] {e distinct peers} — a replica on another
-    hash position of the owner's own peer would be no replica at all. The
-    owner heads the list even when dead (the caller decides how to treat
-    it), so the list is never empty. @raise Invalid_argument when
-    [r < 1]. *)
+    followed by up to [r] replica nodes: the first [r] nodes accepted by
+    [alive] (default: everyone) among the owner's first
+    [min ((r + 1) * 8) (size - 1)] successors, walked clockwise one
+    {!Chord.Ring.successor} at a time, nearest first. The owner heads the
+    list even when dead (the caller decides how to treat it), so the list
+    is never empty. @raise Invalid_argument when [r < 1]. *)

@@ -231,25 +231,6 @@ let fail t id =
   let n = node_exn t id in
   n.dead <- true
 
-(* Rejoin a previously failed node: route a fresh successor for its id via
-   a live bootstrap peer and reset all ring state, exactly as a new join
-   would. Fingers and the backup list repopulate over subsequent
-   stabilization rounds. *)
-let recover t id ~via =
-  match Hashtbl.find_opt t.nodes id with
-  | None -> invalid_arg "Network.recover: unknown node"
-  | Some n -> (
-    if not n.dead then invalid_arg "Network.recover: node is not dead";
-    let _ = node_exn t via in
-    match find_successor t ~from:via ~key:id with
-    | None -> invalid_arg "Network.recover: bootstrap routing failed"
-    | Some (succ, _) ->
-      n.dead <- false;
-      n.successor <- succ;
-      n.successors <- [ succ ];
-      n.predecessor <- None;
-      Array.fill n.fingers 0 Id.bits 0)
-
 let notify t target candidate =
   match node_opt t target with
   | None -> ()

@@ -43,18 +43,15 @@ val add_first : t -> Id.t -> unit
 val join : t -> Id.t -> via:Id.t -> unit
 (** [join t id ~via] adds a node that finds its place by asking the existing
     node [via]. The new node is reachable after stabilization rounds.
-    @raise Invalid_argument if [id] is taken or [via] unknown/dead. *)
+    A {!fail}ed node rejoins the same way: its old state is replaced by a
+    fresh one (successor routed through [via], no predecessor, empty
+    fingers), which later stabilization rounds repopulate.
+    @raise Invalid_argument if [id] is taken by a live node, [via] is
+    unknown/dead, or bootstrap routing dead-ends. *)
 
 val fail : t -> Id.t -> unit
 (** Abrupt departure: the node stops responding; no goodbye messages.
     Peers repair their state in subsequent {!stabilize} rounds. *)
-
-val recover : t -> Id.t -> via:Id.t -> unit
-(** Rejoin a previously {!fail}ed node: its ring state is reset and a
-    fresh successor is routed through the live bootstrap peer [via], as a
-    new join would. Fingers repopulate over later stabilization rounds.
-    @raise Invalid_argument if the node is unknown or not dead, [via] is
-    unknown/dead, or bootstrap routing dead-ends. *)
 
 val alive : t -> Id.t -> bool
 

@@ -55,12 +55,6 @@ let owner t key = t.(owner_index t key)
 let successor t id = t.((node_index t id + 1) mod size t)
 let predecessor t id = t.((node_index t id + size t - 1) mod size t)
 
-let successors t id n =
-  if n < 0 then invalid_arg "Ring.successors: negative count";
-  let i = node_index t id in
-  let len = size t in
-  List.init (Stdlib.min n (len - 1)) (fun k -> t.((i + k + 1) mod len))
-
 let finger t id i =
   if i < 0 || i >= Id.bits then invalid_arg "Ring.finger: index out of range";
   ignore (node_index t id : int);

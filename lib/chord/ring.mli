@@ -40,13 +40,6 @@ val successor : t -> Id.t -> Id.t
 
 val predecessor : t -> Id.t -> Id.t
 
-val successors : t -> Id.t -> int -> Id.t list
-(** [successors t id n]: the first [min n (size-1)] nodes clockwise after
-    node [id], nearest first, never including [id] — the static-ring
-    equivalent of a successor list, used for replica placement.
-    @raise Not_found if [id] is not a node; @raise Invalid_argument on a
-    negative count. *)
-
 val finger : t -> Id.t -> int -> Id.t
 (** [finger t n i] = [owner t (n + 2{^i})], for [i] in [\[0, 31]],
     computed on demand (nothing is stored per finger).

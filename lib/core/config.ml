@@ -45,7 +45,6 @@ type t = {
   store_policy : Store.policy;
   spread_identifiers : bool;
   balancing : balancing;
-  virtual_nodes : int;
   faults : faults option;
   hinted_handoff : bool;
   signature_cache : int;
@@ -66,7 +65,6 @@ let default =
     store_policy = Store.Unbounded;
     spread_identifiers = false;
     balancing = No_balancing;
-    virtual_nodes = 1;
     faults = None;
     hinted_handoff = false;
     signature_cache = 1024;
@@ -89,7 +87,6 @@ let with_domain_cache use_domain_cache t = { t with use_domain_cache }
 let with_store_policy store_policy t = { t with store_policy }
 let with_spread_identifiers spread_identifiers t = { t with spread_identifiers }
 let with_balancing balancing t = { t with balancing }
-let with_virtual_nodes virtual_nodes t = { t with virtual_nodes }
 let with_faults faults t = { t with faults = Some faults }
 let without_faults t = { t with faults = None }
 let with_hinted_handoff hinted_handoff t = { t with hinted_handoff }
@@ -116,10 +113,6 @@ let validate_replicate { r; hot; window } =
     if n < 1 then
       reject ~field:"balancing.hot" ~value:(string_of_int n)
         "Config: absolute hotness threshold must be >= 1"
-  | Balance.Tracker.Top_k k ->
-    if k < 1 then
-      reject ~field:"balancing.hot" ~value:(string_of_int k)
-        "Config: top-k hotness count must be >= 1"
 
 let validate_migrate { check_every; overload; cooldown; min_share; window } =
   if check_every < 1 then
@@ -169,9 +162,6 @@ let validate t =
   | Replicate_and_migrate { replicate; migrate } ->
     validate_replicate replicate;
     validate_migrate migrate);
-  if t.virtual_nodes < 1 then
-    reject ~field:"virtual_nodes" ~value:(string_of_int t.virtual_nodes)
-      "Config: virtual_nodes must be >= 1";
   if t.signature_cache < 0 then
     reject ~field:"signature_cache" ~value:(string_of_int t.signature_cache)
       "Config: signature_cache must be >= 0 (0 disables)";

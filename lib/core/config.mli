@@ -133,10 +133,6 @@ type t = {
   balancing : balancing;
       (** load-balancing policy: hot-bucket replication, range migration,
           or both (default [No_balancing]) *)
-  virtual_nodes : int;
-      (** ring positions per peer (SHA-1 of ["name#i"]); [1] (the default)
-          reproduces the paper's single-position placement exactly, larger
-          values smooth segment sizes at the cost of [v×] ring state *)
   faults : faults option;
       (** fault plane over all message boundaries; [None] (the default)
           is the fault-free protocol, bit-identical to builds that predate
@@ -168,9 +164,9 @@ val paper_quality : family:Lsh.Family.kind -> t
 val validate : t -> unit
 (** @raise Error.Error (code [Invalid_config], context naming the field)
     on nonsensical settings (k, l < 1; negative padding; empty domain;
-    replication factor, hotness threshold, window or virtual-node count
-    < 1; migration period, minimum share or window < 1, overload factor
-    <= 1; negative signature-cache capacity; learned substrate with
+    replication factor, hotness threshold or window < 1; migration
+    period, minimum share or window < 1, overload factor <= 1; negative
+    signature-cache capacity; learned substrate with
     negative error bound or non-positive retrain period; fault
     probabilities outside [0, 1], malformed partition events, or a
     nonsensical retry policy — the fault-plane checks raise the same
@@ -179,9 +175,9 @@ val validate : t -> unit
 (** {1 Builder}
 
     Pipe-friendly setters so call sites stop constructing the record
-    field-by-field: [Config.default |> with_balancing b |> with_faults f
-    |> with_virtual_nodes 4]. Each returns an updated copy; {!validate}
-    still runs at system creation. *)
+    field-by-field: [Config.default |> with_balancing b |> with_faults f].
+    Each returns an updated copy; {!validate} still runs at system
+    creation. *)
 
 val with_family : Lsh.Family.kind -> t -> t
 val with_kl : k:int -> l:int -> t -> t
@@ -194,7 +190,6 @@ val with_domain_cache : bool -> t -> t
 val with_store_policy : Store.policy -> t -> t
 val with_spread_identifiers : bool -> t -> t
 val with_balancing : balancing -> t -> t
-val with_virtual_nodes : int -> t -> t
 
 val with_faults : faults -> t -> t
 (** Sets the fault plane; see {!without_faults} to clear it. *)

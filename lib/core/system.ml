@@ -12,7 +12,7 @@ type t = {
   cache : Lsh.Domain_cache.t option;
   sig_cache : Lsh.Sig_cache.t option;
   routing : Routing.t; (* the substrate wrapping the ring *)
-  peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position *)
+  peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position, [Peer.id] *)
   by_name : (string, Peer.t) Hashtbl.t;
   peer_list : Peer.t array;
   peer_ids : int list Lazy.t;
@@ -21,10 +21,12 @@ type t = {
   tracker : Balance.Tracker.t;
   replication : replication_state option;
   migration : Balance.Migration.t option;
-  dead : (int, unit) Hashtbl.t; (* physical ids of failed peers *)
+  dead : (int, unit) Hashtbl.t; (* ids of failed peers *)
   faults : (Faults.Plane.t * Faults.Retry.policy) option;
   (* identifier -> ring positions holding parked hints for it, oldest
-     first. Only ever populated when [Config.hinted_handoff] is on. *)
+     first: successors that took a publish for a dead home, and native
+     owners that took a write for a down slice holder. Only ever
+     populated when [Config.hinted_handoff] is on. *)
   hints : (int, int list) Hashtbl.t;
 }
 
@@ -54,20 +56,16 @@ let create_with_peers ?(config = Config.default) ~seed names =
          (fun name -> Peer.create ~policy:config.Config.store_policy ~name ())
          names)
   in
-  let v = config.Config.virtual_nodes in
-  let peers = Hashtbl.create (Array.length peer_list * v) in
+  let peers = Hashtbl.create (Array.length peer_list) in
   let by_name = Hashtbl.create (Array.length peer_list) in
   Array.iter
     (fun p ->
-      List.iter
-        (fun position ->
-          if Hashtbl.mem peers position then
-            Error.raise_error
-              ~context:[ ("peer", Peer.name p) ]
-              Error.Invalid_topology
-              "System: ring position collision (rename a peer)";
-          Hashtbl.replace peers position p)
-        (Balance.Virtual_nodes.positions ~name:(Peer.name p) ~v);
+      if Hashtbl.mem peers (Peer.id p) then
+        Error.raise_error
+          ~context:[ ("peer", Peer.name p) ]
+          Error.Invalid_topology
+          "System: ring position collision (rename a peer)";
+      Hashtbl.replace peers (Peer.id p) p;
       Hashtbl.replace by_name (Peer.name p) p)
     peer_list;
   let ring =
@@ -211,14 +209,10 @@ let tick_faults t =
   | None -> ()
   | Some (plane, _) -> Faults.Plane.tick plane
 
-(* Membership churn reaches the substrate per virtual position: Chord's
-   static fingers ignore it, the learned model invalidates the covering
-   segments (and eventually retrains). *)
-let note_churn t peer =
-  List.iter
-    (fun position -> Routing.note_churn t.routing ~position)
-    (Balance.Virtual_nodes.positions ~name:(Peer.name peer)
-       ~v:t.config.Config.virtual_nodes)
+(* Membership churn reaches the substrate at the peer's ring position:
+   Chord's static fingers ignore it, the learned model invalidates the
+   covering segments (and eventually retrains). *)
+let note_churn t peer = Routing.note_churn t.routing ~position:(Peer.id peer)
 
 let fail_peer t peer =
   if not (Hashtbl.mem t.by_name (Peer.name peer)) then
@@ -342,22 +336,16 @@ let m_repairs = Obs.Metrics.counter "system.repairs"
    the timeline shows which peer did the work. *)
 let m_peer_serves = Obs.Metrics.counter ~label:"peer" "system.peer_serves"
 
-(* Inserts unless [peer] already holds the range, recording the insert on
-   the tracker; true when it inserted. *)
-let insert_tracked t peer ~identifier entry =
-  let fresh = Store.insert (Peer.store peer) ~identifier entry in
-  if fresh then Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer);
-  fresh
-
 (* The one bucket copy: slice migration, replica fills, hint replay and
    replica re-sync all go through here. Entries go oldest first, and
    insertion prepends, so [dst] ends up with [src]'s bucket order and
    [Matching.select] breaks ties the same way on either peer. Entries [dst]
    already holds are skipped; returns how many were copied. *)
-let copy_bucket t ~src ~dst ~identifier =
+let copy_bucket ~src ~dst ~identifier =
   List.fold_left
     (fun copied entry ->
-      if insert_tracked t dst ~identifier entry then copied + 1 else copied)
+      if Store.insert (Peer.store dst) ~identifier entry then copied + 1
+      else copied)
     0
     (List.rev (Store.peek_bucket (Peer.store src) ~identifier))
 
@@ -370,9 +358,14 @@ let replicas_of t identifier =
 let hint_holders t identifier =
   Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
 
+let add_hint_holder t identifier position =
+  let holders = hint_holders t identifier in
+  if not (List.mem position holders) then
+    Hashtbl.replace t.hints identifier (holders @ [ position ])
+
 (* Where a migrated slice puts an identifier's bucket: nowhere new (the
    routed owner keeps it), at its responsive slice holder, or back on the
-   native owner because the holder (its physical id) is unresponsive. *)
+   native owner because the holder (its id) is unresponsive. *)
 type home = Native | Holder of Peer.t | Fallback of int
 
 (* Read-only: no Metrics or Trace call, so audits, repair and publish's
@@ -425,7 +418,7 @@ let apply_move t (mv : Balance.Migration.move) =
             Chord.Id.in_interval_oc identifier ~lo:mv.Balance.Migration.lo
               ~hi:mv.Balance.Migration.hi
           then begin
-            ignore (copy_bucket t ~src:source ~dst:target ~identifier : int);
+            ignore (copy_bucket ~src:source ~dst:target ~identifier : int);
             moved := !moved + Store.remove_bucket (Peer.store source) ~identifier
           end)
         (Store.identifiers (Peer.store source));
@@ -445,10 +438,6 @@ let migrate_tick t =
       Balance.Migration.tick mg
         ~peers:(Lazy.force t.peer_ids)
         ~responsive:(fun pid -> responsive t (peer_by_id t pid))
-        ~positions:(fun pid ->
-          Balance.Virtual_nodes.positions
-            ~name:(Peer.name (peer_by_id t pid))
-            ~v:t.config.Config.virtual_nodes)
         ~predecessor:(Chord.Ring.predecessor (ring t))
         ~scores:(fun () -> Balance.Tracker.windowed_scores t.tracker)
     with
@@ -469,16 +458,20 @@ let store_at_owners t routes ~range ~partition =
         | Holder holder -> holder
         | Fallback holder ->
           note_fallback ~identifier ~holder;
+          (* With hints on, the native owner holds the write as a hint, so
+             [repair] moves it to the holder once the holder is back. *)
+          if t.config.Config.hinted_handoff && responsive t owner then
+            add_hint_holder t identifier (Peer.id owner);
           owner
       in
       if responsive t home then
-        ignore (insert_tracked t home ~identifier entry : bool);
+        ignore (Store.insert (Peer.store home) ~identifier entry : bool);
       (* Keep live replicas of a replicated bucket in step with it. *)
       List.iter
         (fun position ->
           let rp = peer_by_id t position in
           if responsive t rp then
-            ignore (insert_tracked t rp ~identifier entry : bool))
+            ignore (Store.insert (Peer.store rp) ~identifier entry : bool))
         (replicas_of t identifier))
     routes
 
@@ -487,9 +480,8 @@ let store_at_owners t routes ~range ~partition =
    first live successor of the owner's ring position instead of losing
    it. The hint is stored physically in the holder's bucket (so it can be
    served degraded from there) and recorded in the registry for replay by
-   [repair]. Walking the successors one at a time skips every virtual
-   position of the dead owner automatically — they all fail
-   [responsive] — and stops at the first that accepts. *)
+   [repair]. The walk takes the successors one at a time and stops at the
+   first that accepts. *)
 let park_hint t ~from ~identifier ~hops entry =
   Obs.Trace.with_span "hint.park" (fun () ->
       Obs.Trace.set_int "identifier" identifier;
@@ -506,10 +498,8 @@ let park_hint t ~from ~identifier ~hops entry =
           let cp = peer_by_id t cpos in
           if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
           then begin
-            ignore (insert_tracked t cp ~identifier entry : bool);
-            let holders = hint_holders t identifier in
-            if not (List.mem cpos holders) then
-              Hashtbl.replace t.hints identifier (holders @ [ cpos ]);
+            ignore (Store.insert (Peer.store cp) ~identifier entry : bool);
+            add_hint_holder t identifier cpos;
             Obs.Metrics.incr1 m_hints_parked (Peer.name cp);
             Obs.Trace.set_bool "parked" true;
             Obs.Trace.set_int "holder" cpos;
@@ -531,7 +521,10 @@ let sorted_keys tbl =
 
    + every parked hint whose home peer is responsive again replays into
      the home bucket and leaves the holder (unless the holder doubles as
-     a registered replica of the identifier);
+     a registered replica of the identifier). A hint's home is the
+     identifier's slice holder whenever a migration moved it, down or
+     not: a hint the native owner took for a down holder waits for that
+     holder instead of replaying onto the owner itself;
    + every registered replica set re-syncs from its responsive home, so
      replicas that missed inserts while crashed stop serving stale
      buckets.
@@ -544,12 +537,15 @@ let repair t =
     Obs.Trace.with_span "repair" (fun () ->
         Obs.Series.mark "system.repair";
         let replayed = ref 0 and resynced = ref 0 in
-        let home_peer identifier =
-          home_of t ~identifier ~owner:(owner_of_identifier t identifier)
-        in
+        let owner identifier = owner_of_identifier t identifier in
         List.iter
           (fun identifier ->
-            let home = home_peer identifier in
+            let home =
+              match resolve_home t ~identifier with
+              | Native -> owner identifier
+              | Holder holder -> holder
+              | Fallback holder -> peer_by_id t holder
+            in
             if responsive t home then begin
               let remaining =
                 List.filter
@@ -558,7 +554,7 @@ let repair t =
                     if not (responsive t hp) then true (* replay later *)
                     else begin
                       replayed :=
-                        !replayed + copy_bucket t ~src:hp ~dst:home ~identifier;
+                        !replayed + copy_bucket ~src:hp ~dst:home ~identifier;
                       if
                         Peer.id hp <> Peer.id home
                         && not (List.mem hpos (replicas_of t identifier))
@@ -581,14 +577,14 @@ let repair t =
         | Some rs ->
           List.iter
             (fun identifier ->
-              let home = home_peer identifier in
+              let home = home_of t ~identifier ~owner:(owner identifier) in
               if responsive t home then
                 List.iter
                   (fun position ->
                     let rp = peer_by_id t position in
                     if Peer.id rp <> Peer.id home && responsive t rp then
                       resynced :=
-                        !resynced + copy_bucket t ~src:home ~dst:rp ~identifier)
+                        !resynced + copy_bucket ~src:home ~dst:rp ~identifier)
                   (replicas_of t identifier))
             (sorted_keys rs.replicas));
         Obs.Metrics.incr m_repairs;
@@ -622,7 +618,6 @@ let maintain_replicas t rs ~identifier ~owner =
       List.tl
         (Balance.Replicas.replica_set (ring t)
            ~alive:(fun position -> responsive t (peer_by_id t position))
-           ~group:(fun position -> Peer.id (peer_by_id t position))
            ~identifier ~r:rs.r ())
     in
     let existing = replicas_of t identifier in
@@ -632,7 +627,7 @@ let maintain_replicas t rs ~identifier ~owner =
       List.iter
         (fun position ->
           let copied =
-            copy_bucket t ~src:owner ~dst:(peer_by_id t position) ~identifier
+            copy_bucket ~src:owner ~dst:(peer_by_id t position) ~identifier
           in
           if copied > 0 then Obs.Metrics.add m_replicated_entries copied)
         desired

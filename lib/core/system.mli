@@ -10,16 +10,17 @@
     + the querying peer keeps the best reply; if no reply matches the range
       exactly, the queried range is cached at all [l] owners.
 
-    Optional load-balancing extensions ride on top (see
-    {!Config.balancing} and {!Config.t.virtual_nodes}): hot buckets are
-    replicated onto the owner's ring successors and lookups served by the
-    least-loaded live holder (failing over when the owner is down, see
-    {!fail_peer}); overloaded peers migrate contiguous slices of their
-    ring segment to the least-loaded live peer, after which lookups and
-    publishes for the slice redirect to its holder (falling back to the
-    native owner while the holder is unresponsive); and each peer may
-    occupy several virtual ring positions. All are off by default, in
-    which case query results are bit-identical to builds without them.
+    Each peer sits at one ring position, the SHA-1 of its name, which is
+    its {!Peer.id}. Optional load-balancing extensions ride on top (see
+    {!Config.balancing}): hot buckets are replicated onto the owner's ring
+    successors and lookups served by the least-loaded live holder
+    (failing over when the owner is down, see {!fail_peer}); overloaded
+    peers migrate contiguous slices of their ring segment to the
+    least-loaded live peer, after which lookups and publishes for the
+    slice redirect to its holder (falling back to the native owner while
+    the holder is unresponsive; see {!repair} for how such writes reach
+    the holder later). Both are off by default, in which case query
+    results are bit-identical to builds without them.
 
     Everything is deterministic given the seed. *)
 
@@ -51,8 +52,8 @@ val peers : t -> Peer.t list
 val peer_count : t -> int
 
 val peer_by_id : t -> Chord.Id.t -> Peer.t
-(** The peer occupying a ring position (any of its virtual positions).
-    @raise Not_found for identifiers that are not positions. *)
+(** The peer occupying a ring position, i.e. the peer with that
+    {!Peer.id}. @raise Not_found for identifiers that are not positions. *)
 
 val peer_by_name : t -> string -> Peer.t
 (** @raise Not_found for unknown names. *)
@@ -112,11 +113,12 @@ val query_batch : t -> from:Peer.t -> Rangeset.Range.t list -> Query_result.t li
 (** {1 Failures, faults and load balance} *)
 
 val fail_peer : t -> Peer.t -> unit
-(** Marks a peer failed: it stops answering lookups (all its virtual
-    positions at once). Routing still reaches its ring segment — the static
-    ring models converged fingers — but the data there is only served if
-    replication placed a copy on a live successor. Reversible with
-    {!recover_peer}. The substrate is notified (the learned model marks
+(** Marks a peer failed: it stops answering lookups. Routing still
+    reaches its ring segment — the static ring models converged fingers —
+    but the data there is only served if replication placed a copy on a
+    live successor (or, with {!Config.t.hinted_handoff}, a hint holder
+    took it). A failed slice holder's writes fall back to the slice's
+    native owner. Reversible with {!recover_peer}. The substrate is notified (the learned model marks
     the covering segments stale). @raise Error.Error ([Unknown_peer])
     for peers of another system. *)
 
@@ -134,7 +136,13 @@ val repair : t -> unit
     (clearing the holder unless it doubles as a registered replica), then
     re-syncs every registered replica set from its responsive home peer —
     so replicas that missed inserts while crashed stop serving stale
-    buckets and recall returns to its fault-free level. Deterministic and
+    buckets and recall returns to its fault-free level. Hints come from
+    two places: a publish whose home was down parks at the owner's first
+    live successor, and a write that fell back to the native owner
+    because the slice holder was down registers that owner. A hint's home
+    is the identifier's slice holder whenever a migration moved it, even
+    while the holder is down, so such a hint waits for the holder instead
+    of replaying onto the owner that took it. Deterministic and
     PRNG-free: identifiers in sorted order, bucket entries oldest-first.
     Run it explicitly after healing a fault-plane partition
     ({!Faults.Plane.heal} cannot see the system); {!recover_peer} runs it
@@ -185,8 +193,8 @@ val fault_plane : t -> Faults.Plane.t option
     its logical clock ([None] when faults are unset). *)
 
 val tracker : t -> Balance.Tracker.t
-(** The system's load tracker: per-peer served-lookup and stored-entry
-    tallies plus windowed per-identifier hot scores. Always maintained
+(** The system's load tracker: per-peer served-lookup tallies plus
+    windowed per-identifier hot scores. Always maintained
     (replication on or off) so imbalance is reportable either way. *)
 
 val load_imbalance : t -> float

@@ -12,11 +12,11 @@ let series_enabled () = !planes land 2 <> 0
 let set_series on =
   planes := if on then !planes lor 2 else !planes land lnot 2
 
-type kind = Counter | Gauge | Wall_gauge | Histogram | Timer
+type kind = Counter | Gauge | Wall_gauge | Histogram
 
 (* One stream of records. Counters add into [c]; gauges keep their last
-   write in [sum] ([n] = 1 once set); histograms and timers count [n]
-   observations (seconds, for timers) summing to [sum] within [lo, hi]. *)
+   write in [sum] ([n] = 1 once set); histograms count [n] observations
+   summing to [sum] within [lo, hi]. *)
 type accum = {
   mutable c : int;
   mutable n : int;
@@ -39,7 +39,6 @@ type inst = {
 type counter = inst
 type gauge = inst
 type histogram = inst
-type timer = inst
 
 let registry : (string, inst) Hashtbl.t = Hashtbl.create 64
 
@@ -71,7 +70,6 @@ let register ?(label = "label") ?(bounds = [||]) kind name =
 let counter ?label name = register ?label Counter name
 let gauge name = register Gauge name
 let wall_gauge name = register Wall_gauge name
-let timer name = register Timer name
 
 (* Unit-width buckets are exact for hop/message counts; the exponential
    tail keeps latency outliers bounded without losing their magnitude. *)
@@ -186,18 +184,6 @@ let hist_percentile h p =
     scan 0 0
   end
 
-let time t f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> summarize t.total (Unix.gettimeofday () -. t0))
-      f
-  end
-
-let timer_count t = t.total.n
-let timer_total_ms t = t.total.sum *. 1000.0
-
 let sorted () =
   Hashtbl.fold (fun _ i acc -> i :: acc) registry []
   |> List.sort (fun a b -> String.compare a.name b.name)
@@ -217,7 +203,7 @@ let reset () =
 let snapshot () =
   let insts = sorted () in
   (* An instrument of [kind] appears once touched: a nonzero count, a set
-     gauge, an observation, a timed call. *)
+     gauge, an observation. *)
   let pick kind f =
     Json.Obj
       (List.filter_map
@@ -233,7 +219,6 @@ let snapshot () =
      through [Json.of_string]. *)
   let num f = if Float.is_finite f then Json.Float f else Json.Null in
   let last g = num g.total.sum in
-  let ms t = t.total.sum *. 1000.0 in
   Json.Obj
     [
       ("counters", pick Counter (fun c -> Json.Int c.total.c));
@@ -252,19 +237,7 @@ let snapshot () =
               ]) );
       (* Everything derived from real time is quarantined under "wall"
          so baseline comparisons can skip the subtree wholesale. *)
-      ( "wall",
-        Json.Obj
-          [
-            ( "timers",
-              pick Timer (fun t ->
-                  Json.Obj
-                    [
-                      ("count", Json.Int t.total.n);
-                      ("total_ms", Json.Float (ms t));
-                      ("mean_ms", Json.Float (ms t /. float_of_int t.total.n));
-                    ]) );
-            ("gauges", pick Wall_gauge last);
-          ] );
+      ("wall", Json.Obj [ ("gauges", pick Wall_gauge last) ]);
     ]
 
 (* The series plane's view of the same instruments. *)
@@ -285,7 +258,7 @@ let samples table =
                match i.kind with
                | Counter -> Count a.c
                | Gauge | Wall_gauge -> Last a.sum
-               | Histogram | Timer ->
+               | Histogram ->
                  Summary { n = a.n; sum = a.sum; lo = a.lo; hi = a.hi }
              in
              (i.name, labels, value)))

@@ -1,5 +1,5 @@
-(** Process-wide instrument registry: counters, gauges, bounded histograms
-    and wall-clock timers. Every signal is declared here once and
+(** Process-wide instrument registry: counters, gauges, wall-clock gauges
+    and bounded histograms. Every signal is declared here once and
     recorded with one call, which feeds up to two planes:
 
     - the {b snapshot} plane ({!enable}): run totals, dumped as JSON by
@@ -18,15 +18,14 @@
       then recorded against directly. A constructor called again with the
       same name returns the same handle and ignores [label]/[bounds]; a
       name reused with another kind raises [Invalid_argument].
-    - {b Deterministic unless marked.} Timers and {!wall_gauge}s read real
-      time: they record on the snapshot plane only, under its ["wall"]
-      subtree, and never reach the series, so a seeded run's timeline is
-      byte-reproducible. *)
+    - {b Deterministic unless marked.} {!wall_gauge}s carry readings
+      derived from real time: they record on the snapshot plane only,
+      under its ["wall"] subtree, and never reach the series, so a seeded
+      run's timeline is byte-reproducible. *)
 
 type counter
 type gauge
 type histogram
-type timer
 
 (** {1 Snapshot plane switch} *)
 
@@ -96,20 +95,6 @@ val hist_percentile : histogram -> float -> float
     bound covering at least [p]% of observations ([hist_max] for the
     overflow bucket; [nan] when empty). *)
 
-(** {1 Timers}
-
-    Wall-clock ([Unix.gettimeofday]) accumulation on the snapshot plane;
-    with it off the thunk runs with no clock reads. *)
-
-val timer : string -> timer
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Runs the thunk, attributing its wall-clock time to the timer. The clock
-    is still stopped if the thunk raises. *)
-
-val timer_count : timer -> int
-val timer_total_ms : timer -> float
-
 (** {1 Snapshots} *)
 
 val reset : unit -> unit
@@ -119,10 +104,9 @@ val reset : unit -> unit
 val snapshot : unit -> Json.t
 (** The snapshot totals as
     [{"counters": {..}, "gauges": {..}, "histograms": {..},
-      "wall": {"timers": {..}, "gauges": {..}}}], names sorted. Only
-    entries a run touched appear: counters at 0, gauges never set,
-    histograms without observations and timers never called are left
-    out, so every object may be empty. Histograms render count, mean,
+      "wall": {"gauges": {..}}}], names sorted. Only entries a run
+    touched appear: counters at 0, gauges never set and histograms
+    without observations are left out, so every object may be empty. Histograms render count, mean,
     min, max and p50/p90/p99, with non-finite statistics as [null].
     Baseline comparisons skip the ["wall"] subtree. *)
 

@@ -8,11 +8,10 @@
     window flushes one point into a bounded ring buffer — counters their
     window increment, gauges their last written value, histograms a
     {count, sum, min, max} summary. Every instrument touched while the
-    plane is on reaches the timeline, except the wall-clock ones (timers,
-    wall gauges). Fault-plane transitions (partition, heal, crash,
-    recover, repair) land as {e marks} on the same clock, so a timeline
-    viewer can align degradation and recovery against the events that
-    caused them.
+    plane is on reaches the timeline, except the wall-clock gauges.
+    Fault-plane transitions (partition, heal, crash, recover, repair)
+    land as {e marks} on the same clock, so a timeline viewer can align
+    degradation and recovery against the events that caused them.
 
     Same discipline as {!Trace} (DESIGN decision 19):
 

@@ -1,6 +1,6 @@
 (* lib/balance and its integration into System: windowed hot-bucket
-   detection, successor replica placement, virtual nodes, and the two
-   headline properties of the replication extension — it reduces the
+   detection, successor replica placement, and the two headline
+   properties of the replication extension — it reduces the
    max/mean load-imbalance ratio under a Zipf workload, and it preserves
    recall when the hottest peers fail. *)
 
@@ -21,12 +21,10 @@ let tracker_counts () =
   Tracker.record_query t ~peer:1 ~identifier:10;
   Tracker.record_query t ~peer:1 ~identifier:10;
   Tracker.record_query t ~peer:2 ~identifier:11;
-  Tracker.record_entry t ~peer:1;
   Alcotest.(check int) "total queries" 3 (Tracker.total_queries t);
   Alcotest.(check int) "peer 1 load" 2 (Tracker.peer_load t 1);
   Alcotest.(check int) "peer 2 load" 1 (Tracker.peer_load t 2);
   Alcotest.(check int) "unknown peer load" 0 (Tracker.peer_load t 99);
-  Alcotest.(check int) "peer 1 entries" 1 (Tracker.peer_entries t 1);
   Alcotest.(check int) "hot score" 2 (Tracker.hot_score t 10);
   Alcotest.(check bool) "below threshold" false (Tracker.is_hot t 10)
 
@@ -50,25 +48,27 @@ let tracker_window_rotation () =
   Alcotest.(check bool) "cooled" false (Tracker.is_hot t 1);
   Alcotest.(check bool) "the new hammered id is hot" true (Tracker.is_hot t 9)
 
-let tracker_top_k () =
-  let t = Tracker.create ~window:100 (Tracker.Top_k 2) in
+(* The ranking the migration planner reads: score descending across both
+   windows, ties toward the smaller identifier. *)
+let tracker_windowed_scores () =
+  let t = Tracker.create ~window:6 (Tracker.Absolute 100) in
   let hit id n =
     for _ = 1 to n do
       Tracker.record_query t ~peer:0 ~identifier:id
     done
   in
   hit 5 4;
-  hit 7 3;
   hit 9 1;
-  Alcotest.(check bool) "rank 1 hot" true (Tracker.is_hot t 5);
-  Alcotest.(check bool) "rank 2 hot" true (Tracker.is_hot t 7);
-  Alcotest.(check bool) "rank 3 cold" false (Tracker.is_hot t 9);
-  Alcotest.(check (list int)) "descending scores" [ 5; 7 ]
-    (Tracker.hot_identifiers t);
-  (* Ties break toward the smaller identifier. *)
+  hit 7 3;
+  (* The sixth lookup rotated the window: 5, 9 and 7's first hit sit in
+     the previous window, 7's other two in the current one. *)
+  Alcotest.(check (list (pair int int))) "descending scores"
+    [ (5, 4); (7, 3); (9, 1) ]
+    (Tracker.windowed_scores t);
   hit 9 2;
-  Alcotest.(check bool) "tie: smaller id wins" true (Tracker.is_hot t 7);
-  Alcotest.(check bool) "tie: larger id loses" false (Tracker.is_hot t 9)
+  Alcotest.(check (list (pair int int))) "tie: smaller id first"
+    [ (5, 4); (7, 3); (9, 3) ]
+    (Tracker.windowed_scores t)
 
 let tracker_imbalance () =
   Alcotest.(check (float 0.0)) "empty" 0.0 (Tracker.imbalance []);
@@ -85,91 +85,7 @@ let tracker_validation () =
       ignore (Tracker.create ~window:0 (Tracker.Absolute 1)));
   Alcotest.check_raises "absolute"
     (Invalid_argument "Tracker.create: absolute threshold must be >= 1")
-    (fun () -> ignore (Tracker.create (Tracker.Absolute 0)));
-  Alcotest.check_raises "top-k"
-    (Invalid_argument "Tracker.create: top-k must be >= 1") (fun () ->
-      ignore (Tracker.create (Tracker.Top_k 0)))
-
-(* Regression for the hot-cache thrash bug: [record_query] used to bump
-   [revision] unconditionally, so the lazily-built Top_k set was rebuilt
-   on every [is_hot] check. The fix invalidates only when window contents
-   can actually change the set (a rotation, or a recorded non-member
-   outranking the weakest member). Pin (a) answers identical to a
-   from-scratch reference across a mixed stream, and (b) zero rebuilds
-   under member-only traffic. *)
-let tracker_cache_invalidation () =
-  let window = 32 and k = 3 in
-  let t = Tracker.create ~window (Tracker.Top_k k) in
-  (* Reference model: replay the stream into explicit windows and rank
-     from scratch on every probe. *)
-  let current = Hashtbl.create 16 and previous = Hashtbl.create 16 in
-  let in_window = ref 0 in
-  let ref_record id =
-    Hashtbl.replace current id
-      (1 + Option.value (Hashtbl.find_opt current id) ~default:0);
-    incr in_window;
-    if !in_window >= window then begin
-      Hashtbl.reset previous;
-      Hashtbl.iter (Hashtbl.replace previous) current;
-      Hashtbl.reset current;
-      in_window := 0
-    end
-  in
-  let ref_score id =
-    Option.value (Hashtbl.find_opt current id) ~default:0
-    + Option.value (Hashtbl.find_opt previous id) ~default:0
-  in
-  let ref_is_hot id =
-    let ids = Hashtbl.create 16 in
-    Hashtbl.iter (fun i _ -> Hashtbl.replace ids i ()) current;
-    Hashtbl.iter (fun i _ -> Hashtbl.replace ids i ()) previous;
-    let ranked =
-      Hashtbl.fold (fun i () acc -> (i, ref_score i) :: acc) ids []
-      |> List.sort (fun (ia, sa) (ib, sb) ->
-             if sa <> sb then Int.compare sb sa else Int.compare ia ib)
-      |> List.filteri (fun i _ -> i < k)
-    in
-    List.exists (fun (i, s) -> i = id && s > 0) ranked
-  in
-  let probes = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let rng = Prng.Splitmix.create 99L in
-  for _ = 1 to 500 do
-    let id = 1 + Prng.Splitmix.int rng 8 in
-    Tracker.record_query t ~peer:0 ~identifier:id;
-    ref_record id;
-    List.iter
-      (fun id ->
-        Alcotest.(check bool)
-          (Printf.sprintf "is_hot %d agrees with reference" id)
-          (ref_is_hot id) (Tracker.is_hot t id))
-      probes
-  done;
-  Alcotest.(check bool) "cache was exercised" true (Tracker.recomputations t > 0);
-  (* Stability: three clear leaders in one huge window (no rotations).
-     Member traffic cannot change the set, so the cache must not rebuild. *)
-  let t2 = Tracker.create ~window:100_000 (Tracker.Top_k 3) in
-  List.iter
-    (fun id ->
-      for _ = 1 to 10 do
-        Tracker.record_query t2 ~peer:0 ~identifier:id
-      done)
-    [ 1; 2; 3 ];
-  Tracker.record_query t2 ~peer:0 ~identifier:9;
-  ignore (Tracker.is_hot t2 1);
-  let baseline = Tracker.recomputations t2 in
-  for _ = 1 to 200 do
-    Tracker.record_query t2 ~peer:0 ~identifier:2;
-    Alcotest.(check bool) "leader stays hot" true (Tracker.is_hot t2 2);
-    Alcotest.(check bool) "cold stays cold" false (Tracker.is_hot t2 9)
-  done;
-  Alcotest.(check int) "member traffic never rebuilds" baseline
-    (Tracker.recomputations t2);
-  (* A newcomer that outranks the weakest member does invalidate. *)
-  for _ = 1 to 11 do
-    Tracker.record_query t2 ~peer:0 ~identifier:9
-  done;
-  Alcotest.(check bool) "newcomer enters the set" true (Tracker.is_hot t2 9);
-  Alcotest.(check bool) "weakest member evicted" false (Tracker.is_hot t2 3)
+    (fun () -> ignore (Tracker.create (Tracker.Absolute 0)))
 
 (* --- Replicas ------------------------------------------------------ *)
 
@@ -186,7 +102,10 @@ let replicas_on_ring () =
   (* r larger than the ring: everyone except the owner, once. *)
   Alcotest.(check (list int)) "saturates at ring size"
     [ 200; 300; 400; 500; 100 ]
-    (Replicas.replica_set view ~identifier:150 ~r:10 ())
+    (Replicas.replica_set view ~identifier:150 ~r:10 ());
+  Alcotest.check_raises "r validation"
+    (Invalid_argument "Replicas.replica_set: r must be >= 1") (fun () ->
+      ignore (Replicas.replica_set view ~identifier:150 ~r:0 ()))
 
 let replicas_alive_filter () =
   let view = five_node_view () in
@@ -198,60 +117,15 @@ let replicas_alive_filter () =
   Alcotest.(check (list int)) "dead owner still heads" [ 200; 300; 400 ]
     (Replicas.replica_set view
        ~alive:(fun id -> id <> 200)
-       ~identifier:150 ~r:2 ())
-
-let replicas_group_dedup () =
-  let view = five_node_view () in
-  (* 300 and 400 are virtual positions of one physical peer: only the
-     first counts, so both replicas land on distinct peers. *)
-  let group id = if id = 300 || id = 400 then 34 else id in
-  Alcotest.(check (list int)) "grouped duplicates skipped" [ 200; 300; 500 ]
-    (Replicas.replica_set view ~group ~identifier:150 ~r:2 ());
-  Alcotest.check_raises "r validation"
-    (Invalid_argument "Replicas.replica_set: r must be >= 1") (fun () ->
-      ignore (Replicas.replica_set view ~identifier:150 ~r:0 ()))
-
-(* --- Virtual nodes ------------------------------------------------- *)
-
-let virtual_positions () =
-  let name = "peer-3" in
-  Alcotest.(check (list int)) "v = 1 is the plain SHA-1 placement"
-    [ Chord.Id.of_name name ]
-    (Balance.Virtual_nodes.positions ~name ~v:1);
-  let ps = Balance.Virtual_nodes.positions ~name ~v:4 in
-  Alcotest.(check int) "v positions" 4 (List.length ps);
-  Alcotest.(check int) "all distinct" 4
-    (List.length (List.sort_uniq compare ps));
-  Alcotest.(check int) "position 0 first" (Chord.Id.of_name name) (List.hd ps);
-  Alcotest.(check string) "position naming" "peer-3#2"
-    (Balance.Virtual_nodes.position_name ~name 2);
-  Alcotest.(check string) "position 0 is the bare name" "peer-3"
-    (Balance.Virtual_nodes.position_name ~name 0);
-  Alcotest.check_raises "v validation"
-    (Invalid_argument "Virtual_nodes.positions: v must be >= 1") (fun () ->
-      ignore (Balance.Virtual_nodes.positions ~name ~v:0))
-
-let system_virtual_nodes () =
-  let config = { Config.default with Config.virtual_nodes = 3 } in
-  let s = Sys_.create ~config ~seed:7L ~n_peers:10 () in
-  Alcotest.(check int) "peer count is physical" 10 (Sys_.peer_count s);
-  Alcotest.(check int) "ring holds every position" 30
-    (Chord.Ring.size (Sys_.ring s));
-  (* Every virtual position of a peer resolves back to it. *)
-  List.iter
-    (fun p ->
-      List.iter
-        (fun position ->
-          Alcotest.(check string) "position maps to its peer" (Peer.name p)
-            (Peer.name (Sys_.peer_by_id s position)))
-        (Balance.Virtual_nodes.positions ~name:(Peer.name p) ~v:3))
-    (Sys_.peers s);
-  (* The protocol still works end to end. *)
-  let from = Sys_.peer_by_name s "peer-0" in
-  let _ = Sys_.publish s ~from (mk 30 50) in
-  let r = Sys_.query s ~from:(Sys_.peer_by_name s "peer-5") (mk 30 50) in
-  Alcotest.(check bool) "query finds the published range" true
-    (r.Query_result.matched <> None)
+       ~identifier:150 ~r:2 ());
+  (* The walk looks at most (r + 1) * 8 successors past the owner: with
+     r = 1, node 16 after the owner is the last one it can pick. *)
+  let line = Chord.Ring.create ~ids:(List.init 40 (fun i -> 1000 * (i + 1))) in
+  let only k id = id = 1000 * (k + 1) in
+  Alcotest.(check (list int)) "16th successor is in reach" [ 1000; 17_000 ]
+    (Replicas.replica_set line ~alive:(only 16) ~identifier:1000 ~r:1 ());
+  Alcotest.(check (list int)) "17th successor is out of reach" [ 1000 ]
+    (Replicas.replica_set line ~alive:(only 17) ~identifier:1000 ~r:1 ())
 
 (* --- System integration -------------------------------------------- *)
 
@@ -418,8 +292,7 @@ let zipf_imbalance_and_failed_recall () =
 
 (* [System.load_imbalance] reads the tracker's running total and maximum
    in O(1); it must equal the list form over every peer's load bit for
-   bit, whatever the balancing policy and however many ring positions a
-   peer holds. *)
+   bit, whatever the balancing policy. *)
 let running_imbalance_matches_list () =
   let shape =
     Workload.Query_workload.Zipf_hotspots { hotspots = 8; spread = 8; s = 1.0 }
@@ -468,25 +341,19 @@ let running_imbalance_matches_list () =
     [
       ("No_balancing", base);
       ("Replicate_and_migrate", { base with Config.balancing = both });
-      ("virtual_nodes = 4", { base with Config.virtual_nodes = 4 });
     ]
 
 let suite =
   [
     Alcotest.test_case "tracker counts" `Quick tracker_counts;
     Alcotest.test_case "tracker window rotation" `Quick tracker_window_rotation;
-    Alcotest.test_case "tracker top-k policy" `Quick tracker_top_k;
+    Alcotest.test_case "tracker windowed scores rank" `Quick
+      tracker_windowed_scores;
     Alcotest.test_case "imbalance ratio" `Quick tracker_imbalance;
     Alcotest.test_case "tracker validation" `Quick tracker_validation;
-    Alcotest.test_case "tracker hot-cache invalidation" `Quick
-      tracker_cache_invalidation;
     Alcotest.test_case "replica placement on a ring" `Quick replicas_on_ring;
     Alcotest.test_case "replica placement skips the dead" `Quick
       replicas_alive_filter;
-    Alcotest.test_case "replica placement groups virtual nodes" `Quick
-      replicas_group_dedup;
-    Alcotest.test_case "virtual node positions" `Quick virtual_positions;
-    Alcotest.test_case "system with virtual nodes" `Quick system_virtual_nodes;
     Alcotest.test_case "fail and alive" `Quick fail_and_alive;
     Alcotest.test_case "replication is invisible without failures" `Quick
       replication_transparent_without_failures;

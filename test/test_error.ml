@@ -61,9 +61,6 @@ let config_validation_messages () =
   expect Error.Invalid_config "Config: k must be >= 1"
     [ ("field", "k"); ("value", "0") ]
     (Config.default |> Config.with_kl ~k:0 ~l:5);
-  expect Error.Invalid_config "Config: virtual_nodes must be >= 1"
-    [ ("field", "virtual_nodes"); ("value", "0") ]
-    (Config.default |> Config.with_virtual_nodes 0);
   expect Error.Invalid_config "Config: signature_cache must be >= 0 (0 disables)"
     [ ("field", "signature_cache"); ("value", "-1") ]
     (Config.default |> Config.with_signature_cache (-1));

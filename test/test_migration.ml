@@ -47,7 +47,7 @@ let spec_validation () =
     (fun () -> Config.validate bad)
 
 (* Drive the planner directly on a synthetic three-node ring:
-   100 -> 200 -> 300, one position per peer, physical id = position. *)
+   100 -> 200 -> 300, each peer's id its ring position. *)
 let planner_unit () =
   let mg =
     Migration.create
@@ -63,7 +63,6 @@ let planner_unit () =
   let tick ?(scores = fun () -> []) () =
     Migration.tick mg ~peers
       ~responsive:(fun _ -> true)
-      ~positions:(fun p -> [ p ])
       ~predecessor
       ~scores
   in
@@ -323,9 +322,9 @@ let holder_crash_falls_back () =
 
 (* A fallback is recorded where a write lands on the native owner because
    the slice holder is down: one publish to the slice counts exactly one,
-   hints on or off, while the read-only audit and repair (here replaying
-   a hint parked for the slice's identifier) count none and emit no
-   fallback trace event. *)
+   hints on or off, while the read-only audit and repair (here keeping,
+   then replaying, a hint parked for the slice's identifier) count none
+   and emit no fallback trace event. *)
 let fallback_counted_once_per_landing () =
   let fallbacks = Obs.Metrics.counter "balance.migration_fallbacks" in
   let fallback_events () =
@@ -388,9 +387,13 @@ let fallback_counted_once_per_landing () =
         ignore (Sys_.publish s ~from range);
         Alcotest.(check int) "hint parked" 1 (Sys_.parked_hints s);
         Obs.Trace.reset ();
-        (* Recovery runs repair, which replays the hint into its home. *)
-        Alcotest.(check int) "hint replay records none" 0
+        (* Recovery runs repair. The hint's home is the slice holder, so it
+           waits while the holder is down and replays once it is back. *)
+        Alcotest.(check int) "hint kept records none" 0
           (delta (fun () -> Sys_.recover_peer s owner));
+        Alcotest.(check int) "hint waits for its holder" 1 (Sys_.parked_hints s);
+        Alcotest.(check int) "hint replay records none" 0
+          (delta (fun () -> Sys_.recover_peer s from));
         Alcotest.(check int) "hint replayed" 0 (Sys_.parked_hints s)
       end
       else Obs.Trace.reset ();
@@ -403,6 +406,70 @@ let fallback_counted_once_per_landing () =
       Obs.Trace.reset ();
       if not trace then Obs.Trace.disable ())
     [ false; true ];
+  if not metrics then Obs.Metrics.disable ()
+
+(* Regression for the migration/repair hole: with hints on, a write that
+   lands on the native owner while the slice holder is down must reach
+   the holder once it recovers, even when another peer's recovery runs
+   [repair] in between. Without the fix the write either never became a
+   hint, or that repair replayed it onto the owner itself and dropped it,
+   leaving a bucket the audit reports unreachable. *)
+let fallback_write_reaches_recovered_holder () =
+  let fallbacks = Obs.Metrics.counter "balance.migration_fallbacks" in
+  let metrics = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let config =
+    { base_config with
+      Config.hinted_handoff = true;
+      balancing =
+        Config.Migrate
+          { Config.check_every = 16;
+            overload = 1.5;
+            cooldown = 1;
+            min_share = 8;
+            window = 2048;
+          };
+    }
+  in
+  let s = Sys_.create ~config ~seed:7L ~n_peers:8 () in
+  let hot = mk 30 50 in
+  let owner = Sys_.owner_of_identifier s (List.hd (Sys_.identifiers s hot)) in
+  (* The planner's target: the first-created peer that is not the
+     source. *)
+  let holder =
+    List.find (fun p -> Peer.name p <> Peer.name owner) (Sys_.peers s)
+  in
+  let _ = Sys_.publish s ~from:holder hot in
+  for _ = 1 to 20 do
+    ignore (Sys_.query s ~from:holder hot : Query_result.t)
+  done;
+  Alcotest.(check bool) "slice migrated" true (Sys_.migrations s >= 1);
+  Sys_.fail_peer s holder;
+  let others =
+    List.filter
+      (fun p -> not (List.mem (Peer.name p) [ Peer.name owner; Peer.name holder ]))
+      (Sys_.peers s)
+  in
+  let from = List.hd others and bystander = List.nth others 1 in
+  (* Publish fresh ranges until one lands in the slice, which the
+     fallback counter shows. *)
+  let rec fallback_write lo =
+    if lo > 950 then Alcotest.fail "no fresh range falls in the slice"
+    else
+      let range = mk lo (lo + 10) in
+      let before = Obs.Metrics.counter_value fallbacks in
+      ignore (Sys_.publish s ~from range);
+      if Obs.Metrics.counter_value fallbacks - before = 1 then range
+      else fallback_write (lo + 7)
+  in
+  let range = fallback_write 100 in
+  Sys_.fail_peer s bystander;
+  Sys_.recover_peer s bystander;
+  Sys_.recover_peer s holder;
+  Alcotest.(check (list string)) "audit is clean" [] (Sys_.check_invariants s);
+  let r = Sys_.query s ~from range in
+  Alcotest.(check bool) "the write is served again" true
+    (r.Query_result.matched <> None);
   if not metrics then Obs.Metrics.disable ()
 
 (* Replicate_and_migrate composes: fault-free it stays transparent, both
@@ -472,6 +539,8 @@ let suite =
       holder_crash_falls_back;
     Alcotest.test_case "one fallback per landing, none from audits" `Quick
       fallback_counted_once_per_landing;
+    Alcotest.test_case "a fallback write reaches its recovered holder" `Quick
+      fallback_write_reaches_recovered_holder;
     Alcotest.test_case "replicate-and-migrate recall floor" `Quick
       composition_recall_floor;
   ]

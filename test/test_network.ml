@@ -226,7 +226,7 @@ let successor_list_exhaustion_degrades_then_recovers () =
      it. *)
   let start_id = sorted.(start mod n) in
   for i = start to start + 4 do
-    Chord.Network.recover net sorted.(i mod n) ~via:victim_pred
+    Chord.Network.join net sorted.(i mod n) ~via:victim_pred
   done;
   Chord.Network.stabilize net ~rounds:15;
   Alcotest.(check bool) "re-converged after the stretch rejoined" true
@@ -246,10 +246,10 @@ let failed_node_recovers_and_reconverges () =
   Chord.Network.stabilize net ~rounds:8;
   Alcotest.(check bool) "converged without the failed node" true
     (Chord.Network.is_converged net);
-  Alcotest.check_raises "recover requires a dead node"
-    (Invalid_argument "Network.recover: node is not dead") (fun () ->
-      Chord.Network.recover net 100 ~via:5_000);
-  Chord.Network.recover net 20_000 ~via:100;
+  Alcotest.check_raises "a live node cannot rejoin"
+    (Invalid_argument "Network.join: identifier already taken") (fun () ->
+      Chord.Network.join net 100 ~via:5_000);
+  Chord.Network.join net 20_000 ~via:100;
   Alcotest.(check bool) "back among the living" true
     (Chord.Network.alive net 20_000);
   Chord.Network.stabilize net ~rounds:10;

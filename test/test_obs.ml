@@ -1,4 +1,4 @@
-(* The metrics registry: counter/timer/histogram semantics, the global
+(* The metrics registry: counter/gauge/histogram semantics, the global
    enable flag (disabled mode must be a no-op), snapshots that keep only
    touched instruments, and the JSON emitter.
 
@@ -32,27 +32,13 @@ let counter_semantics () =
 let disabled_is_noop () =
   let c = M.counter "test.obs.disabled" in
   let h = M.histogram "test.obs.disabled.h" in
-  let t = M.timer "test.obs.disabled.t" in
   M.disable ();
   M.incr c;
   M.add c 10;
   M.observe h 5.0;
-  let result = M.time t (fun () -> 17) in
   M.enable ();
-  Alcotest.(check int) "thunk still runs" 17 result;
   Alcotest.(check int) "counter untouched" 0 (M.counter_value c);
-  Alcotest.(check int) "histogram untouched" 0 (M.hist_count h);
-  Alcotest.(check int) "timer untouched" 0 (M.timer_count t)
-
-let timer_semantics () =
-  let t = M.timer "test.obs.timer" in
-  let v = M.time t (fun () -> String.length "hello") in
-  Alcotest.(check int) "returns the thunk value" 5 v;
-  Alcotest.(check int) "one call recorded" 1 (M.timer_count t);
-  Alcotest.(check bool) "non-negative total" true (M.timer_total_ms t >= 0.0);
-  (* The clock stops even when the thunk raises. *)
-  (try M.time t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "raising call still recorded" 2 (M.timer_count t)
+  Alcotest.(check int) "histogram untouched" 0 (M.hist_count h)
 
 let histogram_semantics () =
   let h = M.histogram "test.obs.hist" in
@@ -83,7 +69,7 @@ let registry_type_clash () =
   let _ = M.counter "test.obs.clash" in
   Alcotest.check_raises "name reuse across types"
     (Invalid_argument "Metrics: \"test.obs.clash\" already registered with another type")
-    (fun () -> ignore (M.timer "test.obs.clash"))
+    (fun () -> ignore (M.histogram "test.obs.clash"))
 
 let reset_zeroes_in_place () =
   let c = M.counter "test.obs.reset" in
@@ -220,23 +206,16 @@ let snapshot_structure () =
     (String.length (J.to_string snap) > 0)
 
 let snapshot_wall_subtree () =
-  (* Wall-clock readings — timers and wall gauges — live in their own
-     "wall" subtree, so baseline comparisons over "gauges" never see
-     them: the deterministic top level must not leak a wall gauge. *)
-  let t = M.timer "test.obs.wall.timer" in
+  (* Wall-clock readings live in their own "wall" subtree, so baseline
+     comparisons over "gauges" never see them: the deterministic top
+     level must not leak a wall gauge. *)
   let wg = M.wall_gauge "test.obs.wall.gauge" in
   let g = M.gauge "test.obs.wall.plain" in
-  ignore (M.time t (fun () -> 1));
   M.set_gauge wg 123.0;
   M.set_gauge g 7.0;
   let snap = M.snapshot () in
   (match J.member "wall" snap with
   | Some wall ->
-    (match J.member "timers" wall with
-    | Some (J.Obj timers) ->
-      Alcotest.(check bool) "timer under wall" true
-        (List.mem_assoc "test.obs.wall.timer" timers)
-    | Some _ | None -> Alcotest.fail "wall lacks a timers object");
     (match J.member "gauges" wall with
     | Some (J.Obj gauges) ->
       Alcotest.(check bool) "wall gauge under wall" true
@@ -251,10 +230,7 @@ let snapshot_wall_subtree () =
       (List.assoc_opt "test.obs.wall.plain" gauges = Some (J.Float 7.0));
     Alcotest.(check bool) "wall gauge absent from top-level gauges" true
       (not (List.mem_assoc "test.obs.wall.gauge" gauges))
-  | Some _ | None -> Alcotest.fail "snapshot lacks a gauges object");
-  match J.member "timers" snap with
-  | None -> ()
-  | Some _ -> Alcotest.fail "timers must no longer be a top-level member"
+  | Some _ | None -> Alcotest.fail "snapshot lacks a gauges object")
 
 (* Property: any document the emitter can produce — nested fault-section
    objects, gauge [null]s, finite floats, metric-name keys — parses back
@@ -346,16 +322,15 @@ let empty_histogram_omitted () =
       (parsed = snap)
   | Error msg -> Alcotest.fail ("snapshot did not parse: " ^ msg)
 
-(* A reset snapshot keeps its five objects, all empty. *)
+(* A reset snapshot keeps its four objects, all empty. *)
 let reset_snapshot_empty () =
   M.add (M.counter "test.obs.empty.c") 4;
   M.set_gauge (M.gauge "test.obs.empty.g") 1.5;
   M.observe (M.histogram "test.obs.empty.h") 2.0;
   M.set_gauge (M.wall_gauge "test.obs.empty.wall") 9.0;
-  ignore (M.time (M.timer "test.obs.empty.t") (fun () -> ()));
   M.reset ();
   Alcotest.(check string) "every object empty"
-    {|{"counters":{},"gauges":{},"histograms":{},"wall":{"timers":{},"gauges":{}}}|}
+    {|{"counters":{},"gauges":{},"histograms":{},"wall":{"gauges":{}}}|}
     (J.to_string ~indent:0 (M.snapshot ()))
 
 (* Omission follows touch, not value: a counter that only ever added 0 is
@@ -478,7 +453,6 @@ let suite =
     Alcotest.test_case "counter semantics" `Quick (isolated counter_semantics);
     Alcotest.test_case "disabled mode is a no-op" `Quick
       (isolated disabled_is_noop);
-    Alcotest.test_case "timer semantics" `Quick (isolated timer_semantics);
     Alcotest.test_case "histogram semantics" `Quick
       (isolated histogram_semantics);
     Alcotest.test_case "histogram overflow bucket" `Quick
