@@ -130,7 +130,7 @@ let run seed peers publishes replicate hinted fail_names drill json =
     (fun name ->
       match System.peer_by_name sys name with
       | p -> System.fail_peer sys p
-      | exception Not_found ->
+      | exception P2prange.Error.Error _ ->
         prerr_endline ("doctor: unknown peer " ^ name);
         exit 1)
     fail_names;

@@ -19,7 +19,6 @@ let node_exn t id =
   | Some n -> n
   | None -> raise Not_found
 
-let zone_of t id = (node_exn t id).zone
 let neighbours t id = ISet.elements (node_exn t id).neighbours
 
 let add_first t id =

@@ -32,9 +32,6 @@ val join : t -> int -> at:Zone.point -> via:int -> unit
 val join_random : t -> int -> rng:Prng.Splitmix.t -> via:int -> unit
 (** [join] at a uniformly random point. *)
 
-val zone_of : t -> int -> Zone.t
-(** @raise Not_found for unknown nodes. *)
-
 val neighbours : t -> int -> int list
 (** @raise Not_found for unknown nodes. *)
 

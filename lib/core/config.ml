@@ -88,7 +88,6 @@ let with_store_policy store_policy t = { t with store_policy }
 let with_spread_identifiers spread_identifiers t = { t with spread_identifiers }
 let with_balancing balancing t = { t with balancing }
 let with_faults faults t = { t with faults = Some faults }
-let without_faults t = { t with faults = None }
 let with_hinted_handoff hinted_handoff t = { t with hinted_handoff }
 let with_signature_cache signature_cache t = { t with signature_cache }
 let with_substrate substrate t = { t with substrate }

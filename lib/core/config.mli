@@ -192,9 +192,6 @@ val with_spread_identifiers : bool -> t -> t
 val with_balancing : balancing -> t -> t
 
 val with_faults : faults -> t -> t
-(** Sets the fault plane; see {!without_faults} to clear it. *)
-
-val without_faults : t -> t
 val with_hinted_handoff : bool -> t -> t
 val with_signature_cache : int -> t -> t
 val with_substrate : substrate -> t -> t

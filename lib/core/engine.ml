@@ -9,8 +9,6 @@ type t = {
      cached tuple set. Ownership/routing follows [routing]'s ring. *)
   exact : (int, R.Relation.t) Hashtbl.t;
   routing : System.t;
-  (* Column statistics per source, built on first use (§6 planning). *)
-  stats_cache : (string, R.Column_stats.table) Hashtbl.t;
 }
 
 let create ?(config = Config.default) ~seed ~n_peers ~sources ~rangeable () =
@@ -49,14 +47,7 @@ let create ?(config = Config.default) ~seed ~n_peers ~sources ~rangeable () =
     | (_, s) :: _ -> s
     | [] -> System.create ~config ~seed:(Prng.Splitmix.next_int64 rng) ~n_peers ()
   in
-  {
-    config;
-    sources = table;
-    systems;
-    exact = Hashtbl.create 16;
-    routing;
-    stats_cache = Hashtbl.create 8;
-  }
+  { config; sources = table; systems; exact = Hashtbl.create 16; routing }
 
 let source t name =
   match Hashtbl.find_opt t.sources name with
@@ -140,15 +131,10 @@ let answer_exact t ~from_name ~relation ~attribute ~value ~allow_source msgs =
 
 (* --- range leaves: the paper's protocol --- *)
 
-let answer_range t ~from_name ~relation ~attribute ~range ?precomputed
-    ~allow_source msgs =
+let answer_range t ~from_name ~relation ~attribute ~range ~allow_source msgs =
   let system = system_for t ~relation ~attribute in
   let from = System.peer_by_name system from_name in
-  let qres =
-    match precomputed with
-    | Some qres -> qres
-    | None -> System.query system ~from range
-  in
+  let qres = System.query system ~from range in
   msgs := !msgs + qres.Query_result.stats.Query_result.messages;
   let from_partition p =
     (* Ship only the overlap with the queried range. *)
@@ -223,8 +209,7 @@ let provenance_label = function
   | From_exact_dht { hit = false } -> "exact_dht_miss"
   | Full_relation -> "full_relation"
 
-let answer_leaf t ~from_name ~allow_source ?range_result (relation, preds) msgs
-    =
+let answer_leaf t ~from_name ~allow_source (relation, preds) msgs =
   Obs.Trace.with_span "engine.leaf" (fun () ->
       Obs.Trace.set_string "relation" relation;
       let data, provenance, recall, fetches =
@@ -233,11 +218,8 @@ let answer_leaf t ~from_name ~allow_source ?range_result (relation, preds) msgs
           answer_exact t ~from_name ~relation ~attribute ~value ~allow_source
             msgs
         | Some (`Range (attribute, range)) ->
-          let precomputed =
-            Option.bind range_result (fun fetch -> fetch ~relation ~attribute)
-          in
-          answer_range t ~from_name ~relation ~attribute ~range ?precomputed
-            ~allow_source msgs
+          answer_range t ~from_name ~relation ~attribute ~range ~allow_source
+            msgs
         | None ->
           (* No selection the DHT can serve: read the whole source. *)
           let rel = source t relation in
@@ -257,7 +239,7 @@ let answer_leaf t ~from_name ~allow_source ?range_result (relation, preds) msgs
         data,
         fetches ))
 
-let execute_plan t ~from_name ~allow_source ?range_result plan =
+let execute_plan t ~from_name ~allow_source plan =
   Obs.Trace.with_span "engine.execute" (fun () ->
   let leaves = R.Planner.leaf_selections plan in
   let msgs = ref 0 in
@@ -265,7 +247,7 @@ let execute_plan t ~from_name ~allow_source ?range_result plan =
     List.fold_left
       (fun (reports, fetched) leaf ->
         let report, data, fetches =
-          answer_leaf t ~from_name ~allow_source ?range_result leaf msgs
+          answer_leaf t ~from_name ~allow_source leaf msgs
         in
         ((report, fetches) :: reports, data :: fetched))
       ([], []) leaves
@@ -306,87 +288,12 @@ let execute_plan t ~from_name ~allow_source ?range_result plan =
   Obs.Trace.set_float "recall_estimate" recall_estimate;
   { result; leaves = List.map fst reports; messages = !msgs; source_fetches; recall_estimate })
 
-let plan_of t query =
-  let lookup name = R.Relation.schema (source t name) in
-  R.Planner.push_selections query ~lookup
+let schema_of t name = R.Relation.schema (source t name)
 
 let execute t ~from_name ?(allow_source = true) query =
-  execute_plan t ~from_name ~allow_source (plan_of t query)
+  execute_plan t ~from_name ~allow_source
+    (R.Planner.push_selections query ~lookup:(schema_of t))
 
-let m_batch_execs = Obs.Metrics.counter "engine.batch.executions"
-let m_batch_range_leaves = Obs.Metrics.counter "engine.batch.range_leaves"
-
-let execute_batch t ~from_name ?(allow_source = true) queries =
-  match queries with
-  | [] -> []
-  | [ query ] -> [ execute t ~from_name ~allow_source query ]
-  | _ :: _ :: _ ->
-    Obs.Trace.with_span "engine.batch" (fun () ->
-    Obs.Trace.set_int "size" (List.length queries);
-    Obs.Metrics.incr m_batch_execs;
-    let plans = List.map (plan_of t) queries in
-    (* Round one: collect every range leaf of the batch, grouped by its
-       (relation, attribute) system in plan order, and resolve each group
-       through one [System.query_batch] pipeline. Exact-match and
-       full-relation leaves don't route through the range systems and are
-       answered during assembly as usual. *)
-    let group_order = ref [] in
-    let groups = Hashtbl.create 8 in
-    List.iter
-      (fun plan ->
-        List.iter
-          (fun (relation, preds) ->
-            match locatable t ~relation preds with
-            | Some (`Range (attribute, range)) ->
-              let key = (relation, attribute) in
-              (match Hashtbl.find_opt groups key with
-              | Some ranges -> ranges := range :: !ranges
-              | None ->
-                group_order := key :: !group_order;
-                Hashtbl.replace groups key (ref [ range ]));
-              Obs.Metrics.incr m_batch_range_leaves
-            | Some (`Exact _) | None -> ())
-          (R.Planner.leaf_selections plan))
-      plans;
-    let queues = Hashtbl.create 8 in
-    List.iter
-      (fun ((relation, attribute) as key) ->
-        let ranges = List.rev !(Hashtbl.find groups key) in
-        let system = system_for t ~relation ~attribute in
-        let from = System.peer_by_name system from_name in
-        let results = System.query_batch system ~from ranges in
-        Hashtbl.replace queues key (ref results))
-      (List.rev !group_order);
-    (* Round two: assemble each query's answer in order, feeding every
-       range leaf its precomputed result. Source fetches triggered by
-       cache misses publish after the lookup round, so a partition
-       published for one query of the batch only becomes visible to later
-       batches — the round's lookups all saw the same snapshot. *)
-    let pop ~relation ~attribute =
-      match Hashtbl.find_opt queues (relation, attribute) with
-      | None -> None
-      | Some queue -> (
-        match !queue with
-        | [] -> None
-        | qres :: rest ->
-          queue := rest;
-          Some qres)
-    in
-    List.map
-      (fun plan ->
-        execute_plan t ~from_name ~allow_source ~range_result:pop plan)
-      plans)
-
-let stats_for t name =
-  match Hashtbl.find_opt t.stats_cache name with
-  | Some stats -> stats
-  | None ->
-    let stats = R.Column_stats.table_of_relation (source t name) in
-    Hashtbl.replace t.stats_cache name stats;
-    stats
-
-let execute_sql t ~from_name ?allow_source ?(use_stats = false) sql =
-  let lookup name = R.Relation.schema (source t name) in
-  let stats = if use_stats then Some (stats_for t) else None in
-  let query = R.Sql.parse_query ?stats sql ~lookup in
-  execute t ~from_name ?allow_source query
+let execute_sql t ~from_name ?allow_source sql =
+  execute t ~from_name ?allow_source
+    (R.Sql.parse_query sql ~lookup:(schema_of t))

@@ -44,12 +44,13 @@ val fail_peer : t -> string -> unit
 (** Fails the named peer in every underlying range system (the engine's
     systems share one peer population). Cached partitions it held are only
     reachable afterwards where replication placed copies. Reversible with
-    {!recover_peer}. @raise Not_found on unknown names. *)
+    {!recover_peer}. @raise Error.Error ([Unknown_peer]) on unknown
+    names. *)
 
 val recover_peer : t -> string -> unit
 (** Brings a {!fail_peer}ed peer back in every underlying range system,
-    serving whatever it held when it failed. @raise Not_found on unknown
-    names. *)
+    serving whatever it held when it failed. @raise Error.Error
+    ([Unknown_peer]) on unknown names. *)
 
 (** How one leaf of the plan was answered. *)
 type provenance =
@@ -86,36 +87,13 @@ val execute :
 (** Runs the full flow. With [allow_source:false] (default [true]) leaves
     that find no cached partition are answered with what the system has —
     possibly nothing — mimicking a user who accepts fast approximate
-    answers (§5.2). @raise Not_found on unknown relations or peer names. *)
-
-val execute_batch :
-  t ->
-  from_name:string ->
-  ?allow_source:bool ->
-  Relational.Query.t list ->
-  answer list
-(** {!execute} over a batch of queries from one peer, one answer per query
-    in order. All range leaves of the batch are resolved first, grouped by
-    their (relation, attribute) system and pipelined through
-    {!System.query_batch} — sharing signature computation, identifier
-    routing and owner contacts across the batch — then each query's answer
-    is assembled as [execute] would. Exact-match and full-relation leaves
-    are answered during assembly, unchanged. Partitions published for the
-    batch's cache misses become visible to later rounds, not to the
-    batch's own lookups (all of which see one snapshot). A batch of one
-    query is identical to {!execute}. *)
+    answers (§5.2). @raise Not_found on unknown relations; @raise
+    Error.Error ([Unknown_peer]) on unknown peer names. *)
 
 val execute_sql :
-  t ->
-  from_name:string ->
-  ?allow_source:bool ->
-  ?use_stats:bool ->
-  string ->
-  answer
+  t -> from_name:string -> ?allow_source:bool -> string -> answer
 (** Parses the SQL text against the engine's source schemas
     ({!Relational.Sql}) and runs {!execute} — peers submit queries "in the
-    form of an SQL statement" (§2). With [use_stats:true] the join order is
-    chosen from column statistics over the sources (built once, cached) —
-    the §6 "planning based on available statistics" extension.
-    @raise Relational.Sql.Error on front-end failures; @raise Not_found on
-    unknown peer names. *)
+    form of an SQL statement" (§2). Tables join in FROM order.
+    @raise Relational.Sql.Error on front-end failures; @raise Error.Error
+    ([Unknown_peer]) on unknown peer names. *)

@@ -39,5 +39,6 @@ type result = {
 
 val query : t -> from_name:string -> conjunct list -> result
 (** Runs the protocol once per conjunct from the named peer.
-    @raise Not_found on unknown attributes or peer names;
+    @raise Not_found on unknown attributes;
+    @raise Error.Error ([Unknown_peer]) on unknown peer names;
     @raise Invalid_argument on an empty conjunct list. *)

@@ -17,6 +17,5 @@ type t = {
 }
 
 let messages r = r.stats.messages
-let hops_total r = List.fold_left ( + ) 0 r.stats.hops
 let matched_range r =
   Option.map (fun m -> m.Matching.entry.Store.range) r.matched

@@ -3,8 +3,7 @@
     One query — batched or not — produces exactly one [t]: the match (if
     any), its quality scores, the lookup cost, and the degradation status
     under faults. {!System.query}, {!System.query_batch} and the engine's
-    provenance all speak this type; the per-entry-point result records of
-    earlier releases are deprecated aliases of it. *)
+    provenance all speak this type. *)
 
 type lookup_stats = {
   identifiers : Chord.Id.t list;  (** the [l] identifiers contacted *)
@@ -41,9 +40,6 @@ type t = {
 
 val messages : t -> int
 (** [r.stats.messages]. *)
-
-val hops_total : t -> int
-(** Sum of per-identifier hop counts. *)
 
 val matched_range : t -> Rangeset.Range.t option
 (** The range of the best match, when any owner had one. *)

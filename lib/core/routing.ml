@@ -15,7 +15,6 @@ let create ~substrate ring =
       }
 
 let ring = function Chord_ring r -> r | Learned_index { lring; _ } -> lring
-let substrate_name = function Chord_ring _ -> "chord" | Learned_index _ -> "learned"
 
 let owner t key =
   match t with

@@ -32,9 +32,6 @@ val ring : t -> Chord.Ring.t
 (** The underlying ring (shared by every substrate: replica placement,
     migration predecessors and fault legs stay substrate-independent). *)
 
-val substrate_name : t -> string
-(** ["chord"] or ["learned"], for traces and bench tables. *)
-
 val owner : t -> Chord.Id.t -> Chord.Id.t
 (** The ring position owning a key — no messages, no hops; the one owner
     call {!System} uses everywhere (placement, migration redirects). *)

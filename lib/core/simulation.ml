@@ -67,6 +67,3 @@ let fraction_complete run =
 let fraction_unmatched run =
   mean_over run (fun o ->
       match o.result.Query_result.matched with Some _ -> 0.0 | None -> 1.0)
-
-let fraction_degraded run =
-  mean_over run (fun o -> if o.result.Query_result.degraded then 1.0 else 0.0)

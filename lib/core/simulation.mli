@@ -51,7 +51,3 @@ val fraction_complete : run -> float
 (** Fraction of measured queries answered completely (recall = 1). *)
 
 val fraction_unmatched : run -> float
-
-val fraction_degraded : run -> float
-(** Fraction of measured queries that lost at least one owner contact to
-    the fault plane (always 0 with {!Config.t.faults} unset). *)

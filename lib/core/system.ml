@@ -159,8 +159,21 @@ let ring t = Routing.ring t.routing
 let peers t = Array.to_list t.peer_list
 let peer_count t = Array.length t.peer_list
 
-let peer_by_id t id = Hashtbl.find t.peers id
-let peer_by_name t name = Hashtbl.find t.by_name name
+(* [try], not [find_opt]: these run on every serve, and the option would
+   allocate on each lookup. *)
+let peer_by_id t id =
+  try Hashtbl.find t.peers id
+  with Not_found ->
+    Error.raise_error
+      ~context:[ ("position", Format.asprintf "%a" Chord.Id.pp id) ]
+      Error.Unknown_peer "System.peer_by_id: no peer at this ring position"
+
+let peer_by_name t name =
+  try Hashtbl.find t.by_name name
+  with Not_found ->
+    Error.raise_error
+      ~context:[ ("peer", name) ]
+      Error.Unknown_peer "System.peer_by_name: unknown peer"
 
 let random_peer t rng =
   t.peer_list.(Prng.Splitmix.int rng (Array.length t.peer_list))
@@ -283,8 +296,6 @@ let traced_identifiers t range =
       let ids = identifiers t range in
       Obs.Trace.set_int "identifiers" (List.length ids);
       ids)
-
-let padding_fraction t = Padding.current_fraction t.padding
 
 (* Route each identifier from the requesting peer; return owners with hop
    counts. Owners may repeat when consecutive identifiers share a segment. *)

@@ -53,10 +53,12 @@ val peer_count : t -> int
 
 val peer_by_id : t -> Chord.Id.t -> Peer.t
 (** The peer occupying a ring position, i.e. the peer with that
-    {!Peer.id}. @raise Not_found for identifiers that are not positions. *)
+    {!Peer.id}. @raise Error.Error ([Unknown_peer], context
+    [("position", hex)]) for identifiers that are not positions. *)
 
 val peer_by_name : t -> string -> Peer.t
-(** @raise Not_found for unknown names. *)
+(** @raise Error.Error ([Unknown_peer], context [("peer", name)]) for
+    unknown names. *)
 
 val random_peer : t -> Prng.Splitmix.t -> Peer.t
 
@@ -71,9 +73,6 @@ val identifiers : t -> Rangeset.Range.t -> Chord.Id.t list
 val signature_cache : t -> Lsh.Sig_cache.t option
 (** The system's signature memo, for inspecting hit/miss/eviction tallies
     ([None] when disabled). *)
-
-val padding_fraction : t -> float
-(** Current padding level (moves under adaptive padding). *)
 
 val publish :
   t ->

@@ -1,10 +1,9 @@
 (** Structured errors raised by the validated front doors
-    ([Config.validate], [System.create], the peer lifecycle calls, fault
-    plane and retry validation). Each carries a machine-readable code plus
-    the context that produced it — which field was wrong, which peer was
-    unknown — so callers never pattern-match message text. Programmer-
-    facing misuse (indexing a missing ring position) keeps its stdlib
-    exceptions.
+    ([Config.validate], [System.create], the peer lookups and lifecycle
+    calls, fault plane and retry validation). Each carries a
+    machine-readable code plus the context that produced it — which field
+    was wrong, which peer or ring position was unknown — so callers never
+    pattern-match message text.
 
     This is the implementation behind [P2prange.Error] (which re-exports
     it verbatim), split into its own library so lower layers — notably

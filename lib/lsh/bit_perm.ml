@@ -9,7 +9,6 @@ type t = {
 
 let bits t = t.bits
 let levels t = t.levels
-let keys t = Array.copy t.keys
 
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in

@@ -57,10 +57,7 @@ val range_min : t -> lo:int -> hi:int -> int
     @raise Invalid_argument if [lo] or [hi] is outside the domain (with
     {!apply}'s message), or if [hi < lo]. *)
 
-val keys : t -> int array
-(** The per-level keys (level 0 first) — exposed for serialization and
-    tests; the paper notes the whole key material fits two machine words. *)
-
 val of_keys : bits:int -> int array -> t
-(** Rebuilds a permutation from stored keys.
+(** Builds the permutation whose level [i] is driven by [keys.(i)]
+    (level 0 first), so a known network can be written down directly.
     @raise Invalid_argument if a key has the wrong popcount or width. *)

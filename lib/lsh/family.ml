@@ -65,58 +65,3 @@ let minhash_range fn range =
       if h < !best then best := h
     done;
     !best
-
-let minhash_set fn set =
-  match Rangeset.Range_set.ranges set with
-  | [] -> invalid_arg "Family.minhash_set: empty set"
-  | ranges ->
-    List.fold_left
-      (fun best range -> Stdlib.min best (minhash_range fn range))
-      max_int ranges
-
-(* Wire format: "b<bits>:<key>,<key>,…" for bit networks (hex keys, level 0
-   first) and "l<p>:<a>:<b>" for linear permutations. Single tokens with no
-   whitespace, so schemes can join them with separators freely. *)
-
-let serialize = function
-  | Bit p ->
-    let keys =
-      Bit_perm.keys p |> Array.to_list
-      |> List.map (Printf.sprintf "%x")
-      |> String.concat ","
-    in
-    Printf.sprintf "b%d:%s" (Bit_perm.bits p) keys
-  | Lin p ->
-    let a, b = Linear_perm.coefficients p in
-    Printf.sprintf "l%d:%d:%d" (Linear_perm.p p) a b
-  | Tab _ ->
-    invalid_arg "Family.serialize: tabulated permutations are not portable"
-
-let deserialize s =
-  let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
-  if s = "" then fail "empty function encoding"
-  else
-    match (s.[0], String.split_on_char ':' (String.sub s 1 (String.length s - 1))) with
-    | 'b', [ bits; keys ] -> (
-      match int_of_string_opt bits with
-      | None -> fail "bad bit width %S" bits
-      | Some bits -> (
-        let parsed =
-          List.map
-            (fun k -> int_of_string_opt ("0x" ^ k))
-            (String.split_on_char ',' keys)
-        in
-        if List.exists Option.is_none parsed then fail "bad key in %S" keys
-        else
-          let keys = Array.of_list (List.map Option.get parsed) in
-          match Bit_perm.of_keys ~bits keys with
-          | perm -> Ok (Bit perm)
-          | exception Invalid_argument m -> fail "invalid bit network: %s" m))
-    | 'l', [ p; a; b ] -> (
-      match (int_of_string_opt p, int_of_string_opt a, int_of_string_opt b) with
-      | Some p, Some a, Some b -> (
-        match Linear_perm.make ~p ~a ~b with
-        | perm -> Ok (Lin perm)
-        | exception Invalid_argument m -> fail "invalid linear permutation: %s" m)
-      | _ -> fail "bad linear parameters in %S" s)
-    | _ -> fail "unrecognized function encoding %S" s

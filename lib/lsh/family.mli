@@ -2,7 +2,8 @@
 
     A function drawn from any family is a permutation [π] of a 32-bit
     domain; the hash of a value set [Q] is [min π(Q)] (§3.3), so
-    [Pr(h(Q) = h(R)) ≈ Jaccard(Q, R)]. *)
+    [Pr(h(Q) = h(R)) ≈ Jaccard(Q, R)]. The value sets hashed here are
+    always contiguous ranges ({!minhash_range}). *)
 
 type kind =
   | Exact_minwise  (** full bit-shuffle network of Fig. 3 (all levels) *)
@@ -49,19 +50,3 @@ val minhash_range : fn -> Rangeset.Range.t -> int
     Figure 5 cost is the bit networks evaluated level by level at every
     value ({!Bit_perm.apply_reference}).
     @raise Invalid_argument if the range leaves the function's domain. *)
-
-val minhash_set : fn -> Rangeset.Range_set.t -> int
-(** The least {!minhash_range} over the set's maximal ranges.
-    @raise Invalid_argument on the empty set (the min-hash of nothing is
-    undefined). *)
-
-val serialize : fn -> string
-(** Compact single-token encoding of the function's key material (every
-    peer of a deployment must evaluate the {e same} functions, so they have
-    to travel). Bit networks encode their per-level keys, linear
-    permutations their [(p, a, b)].
-    @raise Invalid_argument for [Random_tabulated] functions — their key is
-    the whole permutation table; use a seed-sharing convention instead. *)
-
-val deserialize : string -> (fn, string) result
-(** Inverse of {!serialize}; [Error] describes the first malformation. *)

@@ -28,9 +28,6 @@ let random ?(p = default_p) rng =
   let b = Prng.Splitmix.int rng p in
   { p; a; b }
 
-let p t = t.p
-let coefficients t = (t.a, t.b)
-
 (* (a * x) mod p without 63-bit overflow for p < 2^32: split x into 16-bit
    limbs, so every intermediate product stays below 2^49. *)
 let mulmod p a x =

@@ -30,10 +30,6 @@ val random : ?p:int -> Prng.Splitmix.t -> t
 val make : p:int -> a:int -> b:int -> t
 (** @raise Invalid_argument if [a] is 0 mod [p] or either is negative. *)
 
-val p : t -> int
-val coefficients : t -> int * int
-(** The [(a, b)] pair. *)
-
 val apply : t -> int -> int
 (** [apply t x] for [x] in [\[0, p)]. All arithmetic is exact (no 63-bit
     overflow) via 16-bit limb splitting. *)

@@ -8,7 +8,11 @@
     [l] identifiers with probability ≈ [1 - (1 - p{^k}){^l}].
 
     The paper fixes [(k, l) = (20, 5)], tuned so the acceptance curve
-    approximates a step at [p = 0.9]. *)
+    approximates a step at [p = 0.9].
+
+    Identifiers only collide across peers that hash with the same
+    functions; the peers of one simulated system share a scheme by
+    drawing it from one seed. *)
 
 type t
 
@@ -45,21 +49,6 @@ val identifiers_of_range : t -> Rangeset.Range.t -> int list
     evaluation of all [l·k] min-hashes with {!Family.minhash_range} (cost
     grows linearly in the range width for the linear family only). *)
 
-val identifiers_of_set : t -> Rangeset.Range_set.t -> int list
-(** Same for a general non-empty value set. *)
-
 val amplification : k:int -> l:int -> float -> float
 (** [amplification ~k ~l p = 1 - (1 - p{^k}){^l}] — the probability that two
     sets with Jaccard similarity [p] agree on at least one group. *)
-
-val to_string : t -> string
-(** One-line wire encoding of the whole scheme (parameters plus every
-    function's key material). Peers of one deployment must share the exact
-    scheme — identifiers only collide across peers that hash identically —
-    so the bootstrap peer generates it once and ships this string.
-    @raise Invalid_argument for [Random_tabulated] schemes (not portable;
-    share a seed instead). *)
-
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}. The reconstructed scheme computes bit-for-bit
-    identical identifiers. *)

@@ -53,10 +53,6 @@ val event_i : string -> string -> int -> unit
 val event_ii : string -> string -> int -> string -> int -> unit
 val event_if : string -> string -> int -> string -> float -> unit
 
-val event_with : string -> (string * Json.t) list -> unit
-(** General-attribute instant event; builds its attribute list eagerly,
-    so prefer the monomorphic variants on hot paths. *)
-
 (** {1 Reading back} *)
 
 type span

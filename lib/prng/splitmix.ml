@@ -33,8 +33,6 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Splitmix.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let int32_any t = Int64.to_int32 (next_int64 t)
-
 let float t =
   (* 53 random bits scaled into [0,1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in

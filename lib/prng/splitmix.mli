@@ -30,9 +30,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform in the inclusive range [\[lo, hi\]].
     @raise Invalid_argument if [hi < lo]. *)
 
-val int32_any : t -> int32
-(** A uniform 32-bit value (all 2{^32} patterns equally likely). *)
-
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)] with 53 bits of precision. *)
 

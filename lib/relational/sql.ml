@@ -136,68 +136,11 @@ let classify env conditions =
 (* While folding tables into the join tree, track how each (table, column)
    is named in the composite schema: Schema.concat primes right-hand
    duplicates, so later references must use the primed name. *)
-(* Greedy statistics-driven join order: start from the table with the
-   smallest estimated post-selection cardinality, then repeatedly add the
-   cheapest table connected to the joined set by some equi-join condition.
-   Tables that never become connectable are appended in FROM order so the
-   join-tree builder reports its usual cross-product error. *)
-let order_tables ~stats ~selections ~joins tables =
-  let estimate (name, _) =
-    let predicates =
-      List.filter_map
-        (fun s ->
-          if s.sel_table = name then
-            match Predicate.make ~attribute:s.sel_column s.comparison with
-            | p -> Some p
-            | exception Invalid_argument _ -> None
-          else None)
-        selections
-    in
-    Column_stats.estimate_rows (stats name) predicates
-  in
-  let connected placed (name, _) =
-    List.exists
-      (fun j ->
-        (List.mem (fst j.left) placed && fst j.right = name)
-        || (List.mem (fst j.right) placed && fst j.left = name))
-      joins
-  in
-  let cheapest candidates =
-    match candidates with
-    | [] -> None
-    | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best t -> if estimate t < estimate best then t else best)
-           first rest)
-  in
-  match cheapest tables with
-  | None -> tables
-  | Some start ->
-    let rec grow placed ordered remaining =
-      match remaining with
-      | [] -> List.rev ordered
-      | _ -> (
-        match cheapest (List.filter (connected placed) remaining) with
-        | Some next ->
-          grow (fst next :: placed)
-            (next :: ordered)
-            (List.filter (fun t -> fst t <> fst next) remaining)
-        | None -> List.rev_append ordered remaining)
-    in
-    grow [ fst start ] [ start ]
-      (List.filter (fun t -> fst t <> fst start) tables)
-
-let to_query ?stats select ~lookup =
+let to_query select ~lookup =
   let env = make_env select.Sql_ast.tables ~lookup in
   let selections, joins = classify env select.Sql_ast.conditions in
-  let ordered_tables =
-    match stats with
-    | None -> env.tables
-    | Some stats -> order_tables ~stats ~selections ~joins env.tables
-  in
   let renames : (string * string, string) Hashtbl.t = Hashtbl.create 16 in
-  let first_table, first_schema = List.hd ordered_tables in
+  let first_table, first_schema = List.hd env.tables in
   List.iter
     (fun (name, _) -> Hashtbl.replace renames (first_table, name) name)
     (Schema.columns first_schema);
@@ -243,7 +186,7 @@ let to_query ?stats select ~lookup =
         joined := table :: !joined;
         tree := Query.join ~left:!tree ~right:(Query.scan table) ~on:(left_col, rc)
       end)
-    ordered_tables;
+    env.tables;
   if !pending <> [] then
     fail "unsupported extra join condition between already-joined tables";
   (* Selections go above the joins; Planner.push_selections will sink them
@@ -275,4 +218,4 @@ let to_query ?stats select ~lookup =
     in
     Query.project names !tree
 
-let parse_query ?stats input ~lookup = to_query ?stats (parse input) ~lookup
+let parse_query input ~lookup = to_query (parse input) ~lookup

@@ -27,28 +27,16 @@ exception Error of string
 val parse : string -> Sql_ast.select
 (** Syntax only. @raise Error. *)
 
-val to_query :
-  ?stats:(string -> Column_stats.table) ->
-  Sql_ast.select ->
-  lookup:(string -> Schema.t) ->
-  Query.t
+val to_query : Sql_ast.select -> lookup:(string -> Schema.t) -> Query.t
 (** Resolves names against the base schemas and builds the operator tree:
     scans joined table by table (each new table linked by one of the WHERE
     equi-join conditions), selections stacked above, projection on top.
     Run {!Planner.push_selections} on the result to move the selections
     back down to the leaves.
 
-    Without [stats], tables join in FROM order. With [stats] (per-table
-    {!Column_stats}), the join order is chosen greedily by estimated
-    post-selection cardinality — smallest table first, then the cheapest
-    {e connected} table — the paper's §6 "planning based on available
-    statistics". The answer is order-independent; only intermediate sizes
-    change. [lookup] should raise [Not_found] for unknown tables.
+    Tables join in FROM order. [lookup] should raise [Not_found] for
+    unknown tables.
     @raise Error. *)
 
-val parse_query :
-  ?stats:(string -> Column_stats.table) ->
-  string ->
-  lookup:(string -> Schema.t) ->
-  Query.t
-(** [to_query ?stats (parse s) ~lookup]. *)
+val parse_query : string -> lookup:(string -> Schema.t) -> Query.t
+(** [to_query (parse s) ~lookup]. *)

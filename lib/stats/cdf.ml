@@ -39,9 +39,3 @@ let percent_at_least t x = 100.0 *. fraction_at_least t x
 
 let series t ~thresholds =
   List.map (fun x -> (x, percent_at_least t x)) thresholds
-
-let pp_series ?(label = "") ppf series =
-  if label <> "" then Format.fprintf ppf "%s@." label;
-  List.iter
-    (fun (x, p) -> Format.fprintf ppf "  >= %5.2f : %6.2f%%@." x p)
-    series

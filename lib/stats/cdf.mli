@@ -24,7 +24,3 @@ val percent_at_least : t -> float -> float
 
 val series : t -> thresholds:float list -> (float * float) list
 (** [(x, percent_at_least x)] for each threshold, in the given order. *)
-
-val pp_series :
-  ?label:string -> Format.formatter -> (float * float) list -> unit
-(** Renders a threshold series as aligned ["x >= t : p%"] rows. *)

@@ -14,9 +14,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row length mismatch";
   t.rows <- row :: t.rows
 
-let add_float_row t ?(fmt = Printf.sprintf "%.3f") row =
-  add_row t (List.map fmt row)
-
 let pad align width s =
   let n = width - String.length s in
   if n <= 0 then s

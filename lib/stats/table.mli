@@ -14,9 +14,6 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row length differs from the header. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> float list -> unit
-(** Convenience: formats every cell with [fmt] (default [%.3f]). *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders with a header rule and columns padded to their widest cell. *)
 

@@ -234,75 +234,216 @@ let batch_faults_replication_compose () =
   Alcotest.(check bool) "batch spends fewer messages under faults too" true
     (total batched < total singles)
 
-(* Engine-level batching: once the cache is warm, a batch of plans is
-   answered exactly like sequential execution — same result relations,
-   same provenance, same recall — for fewer overlay messages. *)
-let engine_execute_batch () =
-  let module Q = Relational.Query in
-  let module P = Relational.Predicate in
-  let module S = Relational.Schema in
-  let module R = Relational.Relation in
-  let module V = Relational.Value in
-  let module E = P2prange.Engine in
-  let patients =
-    R.create ~name:"Patient"
-      ~schema:
-        (S.make
-           [ ("patient_id", V.Tint); ("name", V.Tstring); ("age", V.Tint) ])
-      (List.init 100 (fun i ->
-           [| V.Int i; V.String (Printf.sprintf "p%d" i); V.Int (i mod 90) |]))
+(* The generated form of the fault-free equivalence above. Over random
+   valid configs (matching, padding, spread, (k, l), cache-on-inexact,
+   every balancing policy, both substrates, hints), peer counts and
+   publish prefixes, each query of a batch answers exactly as it does run
+   singly on an identically seeded twin, and both systems end in the same
+   state. Batches draw from a pool of at most six ranges, so repeats hit
+   the signature and identifier memos. Messages are not compared: a batch
+   charges 2 per distinct contact, so a batch that shares nothing can cost
+   more than its singles. *)
+type batch_case = {
+  config : Config.t;
+  seed : int64;
+  n_peers : int;
+  publishes : (int * Range.t) list;  (** (peer index, range) *)
+  batches : (int * Range.t list) list;
+}
+
+let show_range r = Printf.sprintf "[%d,%d]" (Range.lo r) (Range.hi r)
+
+let show_config (c : Config.t) =
+  let padding =
+    match c.Config.padding with
+    | Config.No_padding -> "none"
+    | Config.Fixed_padding f -> Printf.sprintf "fixed %g" f
+    | Config.Adaptive_padding { initial; step; target_recall } ->
+      Printf.sprintf "adaptive %g/%g/%g" initial step target_recall
   in
-  let build () =
-    E.create ~seed:21L ~n_peers:12 ~sources:[ patients ]
-      ~rangeable:[ (("Patient", "age"), mk 0 120) ]
-      ()
+  let replicate { Config.r; hot = Balance.Tracker.Absolute hot; window } =
+    Printf.sprintf "replicate r=%d hot=%d window=%d" r hot window
   in
-  let age_query lo hi =
-    Q.select
-      (P.make ~attribute:"age" (P.Between (V.Int lo, V.Int hi)))
-      (Q.scan "Patient")
+  let migrate m =
+    Printf.sprintf "migrate every=%d overload=%g cooldown=%d min_share=%d window=%d"
+      m.Config.check_every m.Config.overload m.Config.cooldown
+      m.Config.min_share m.Config.window
   in
-  let queries = [ age_query 30 50; age_query 10 25; age_query 60 80 ] in
-  let a = build () and b = build () in
-  let warm e =
-    List.iter
-      (fun q -> ignore (E.execute e ~from_name:"peer-0" q : E.answer))
-      queries
+  let balancing =
+    match c.Config.balancing with
+    | Config.No_balancing -> "none"
+    | Config.Replicate r -> replicate r
+    | Config.Migrate m -> migrate m
+    | Config.Replicate_and_migrate { replicate = r; migrate = m } ->
+      replicate r ^ " + " ^ migrate m
   in
-  warm a;
-  warm b;
-  let singles = List.map (E.execute a ~from_name:"peer-1") queries in
-  let batched = E.execute_batch b ~from_name:"peer-1" queries in
-  Alcotest.(check int) "one answer per query" (List.length queries)
-    (List.length batched);
-  List.iteri
-    (fun i (s, b) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "query %d: same result relation" i)
-        true
-        (s.E.result = b.E.result);
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "query %d: same recall estimate" i)
-        s.E.recall_estimate b.E.recall_estimate;
-      Alcotest.(check bool)
-        (Printf.sprintf "query %d: answered from cache" i)
-        true
-        (match (List.hd b.E.leaves).E.provenance with
-        | E.From_cache _ -> true
-        | _ -> false))
-    (List.combine singles batched);
-  let total r = List.fold_left (fun acc a -> acc + a.E.messages) 0 r in
-  Alcotest.(check bool) "engine batch spends fewer messages" true
-    (total batched < total singles);
-  (* A batch of one goes through the plain execute path. *)
-  match E.execute_batch b ~from_name:"peer-2" [ age_query 30 50 ] with
-  | [ one ] ->
-    let again = E.execute a ~from_name:"peer-2" (age_query 30 50) in
-    Alcotest.(check bool) "engine batch of one matches execute" true
-      (one.E.result = again.E.result && one.E.messages = again.E.messages)
-  | results ->
-    Alcotest.failf "engine batch of one returned %d answers"
-      (List.length results)
+  Printf.sprintf
+    "matching=%s padding=%s spread=%b k=%d l=%d cache_on_inexact=%b \
+     balancing=%s substrate=%s hints=%b"
+    (match c.Config.matching with
+    | Config.Jaccard_match -> "jaccard"
+    | Config.Containment_match -> "containment")
+    padding c.Config.spread_identifiers c.Config.k c.Config.l
+    c.Config.cache_on_inexact balancing
+    (match c.Config.substrate with
+    | Config.Chord -> "chord"
+    | Config.Learned { max_error; retrain_after } ->
+      Printf.sprintf "learned %d/%d" max_error retrain_after)
+    c.Config.hinted_handoff
+
+let show_case c =
+  let show_ranges rs = String.concat " " (List.map show_range rs) in
+  Printf.sprintf "%s\nseed=%Ld peers=%d\npublish: %s\nbatches: %s"
+    (show_config c.config) c.seed c.n_peers
+    (String.concat " "
+       (List.map
+          (fun (p, r) -> Printf.sprintf "p%d:%s" p (show_range r))
+          c.publishes))
+    (String.concat " | "
+       (List.map
+          (fun (p, rs) -> Printf.sprintf "p%d: %s" p (show_ranges rs))
+          c.batches))
+
+let batch_case_gen =
+  let open QCheck.Gen in
+  let range =
+    let* a = int_range 0 1000 in
+    let* b = int_range 0 1000 in
+    return (mk (min a b) (max a b))
+  in
+  let padding =
+    oneof
+      [
+        return Config.No_padding;
+        map (fun f -> Config.Fixed_padding f) (float_bound_inclusive 0.5);
+        (let* initial = float_bound_inclusive 0.3 in
+         let* step = float_range 0.01 0.1 in
+         let* target_recall = float_bound_inclusive 1.0 in
+         return (Config.Adaptive_padding { initial; step; target_recall }));
+      ]
+  in
+  let replicate =
+    let* r = int_range 1 3 in
+    let* hot = int_range 1 4 in
+    let* window = int_range 1 64 in
+    return { Config.r; hot = Balance.Tracker.Absolute hot; window }
+  in
+  let migrate =
+    let* check_every = int_range 1 16 in
+    let* overload = float_range 1.1 3.0 in
+    let* cooldown = int_range 0 3 in
+    let* min_share = int_range 1 8 in
+    let* window = int_range 1 64 in
+    return { Config.check_every; overload; cooldown; min_share; window }
+  in
+  let balancing =
+    oneof
+      [
+        return Config.No_balancing;
+        map (fun r -> Config.Replicate r) replicate;
+        map (fun m -> Config.Migrate m) migrate;
+        map2
+          (fun replicate migrate ->
+            Config.Replicate_and_migrate { replicate; migrate })
+          replicate migrate;
+      ]
+  in
+  let substrate =
+    oneof
+      [
+        return Config.Chord;
+        (let* max_error = int_range 0 8 in
+         let* retrain_after = int_range 1 8 in
+         return (Config.Learned { Config.max_error; retrain_after }));
+      ]
+  in
+  let* matching = oneofl [ Config.Jaccard_match; Config.Containment_match ] in
+  let* padding = padding in
+  let* spread = bool in
+  let* k = int_range 1 20 in
+  let* l = int_range 1 5 in
+  let* cache_on_inexact = bool in
+  let* balancing = balancing in
+  let* substrate = substrate in
+  let* hints = bool in
+  let config =
+    Config.default |> Config.with_matching matching
+    |> Config.with_padding padding
+    |> Config.with_spread_identifiers spread
+    |> Config.with_kl ~k ~l
+    |> Config.with_cache_on_inexact cache_on_inexact
+    |> Config.with_balancing balancing
+    |> Config.with_substrate substrate
+    |> Config.with_hinted_handoff hints
+  in
+  let* seed = map Int64.of_int (int_bound 1_000_000) in
+  let* n_peers = int_range 1 40 in
+  let peer = int_bound (n_peers - 1) in
+  let* pool = list_size (int_range 1 6) range in
+  let* publishes =
+    list_size (int_range 0 20) (pair peer (oneof [ oneofl pool; range ]))
+  in
+  let* batches =
+    list_size (int_range 1 3) (pair peer (list_size (int_range 2 16) (oneofl pool)))
+  in
+  return { config; seed; n_peers; publishes; batches }
+
+let prop_batch_equals_singles =
+  QCheck.Test.make ~name:"a batch answers like its queries run singly"
+    ~count:200
+    (QCheck.make ~print:show_case batch_case_gen)
+    (fun c ->
+      let make () = Sys_.create ~config:c.config ~seed:c.seed ~n_peers:c.n_peers () in
+      let singly = make () and batched = make () in
+      let peer s i = Sys_.peer_by_name s (Printf.sprintf "peer-%d" i) in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (p, r) ->
+              ignore (Sys_.publish s ~from:(peer s p) r : Query_result.lookup_stats))
+            c.publishes)
+        [ singly; batched ];
+      List.iteri
+        (fun bi (p, ranges) ->
+          let singles = List.map (Sys_.query singly ~from:(peer singly p)) ranges in
+          let results = Sys_.query_batch batched ~from:(peer batched p) ranges in
+          if List.length results <> List.length ranges then
+            QCheck.Test.fail_reportf "batch %d: %d results for %d ranges" bi
+              (List.length results) (List.length ranges);
+          List.iteri
+            (fun qi ((s : Query_result.t), (b : Query_result.t)) ->
+              let differ what =
+                QCheck.Test.fail_reportf "batch %d, query %d %s: %s differs" bi
+                  qi (show_range s.Query_result.query) what
+              in
+              if s.Query_result.matched <> b.Query_result.matched then
+                differ "matched";
+              if not (Float.equal s.Query_result.similarity b.Query_result.similarity)
+              then differ "similarity";
+              if not (Float.equal s.Query_result.recall b.Query_result.recall) then
+                differ "recall";
+              if s.Query_result.cached <> b.Query_result.cached then differ "cached";
+              if not (Range.equal s.Query_result.effective b.Query_result.effective)
+              then differ "effective";
+              if
+                s.Query_result.stats.Query_result.identifiers
+                <> b.Query_result.stats.Query_result.identifiers
+              then differ "identifiers";
+              if s.Query_result.responders <> b.Query_result.responders then
+                differ "responders")
+            (List.combine singles results))
+        c.batches;
+      let agree what f =
+        if f singly <> f batched then
+          QCheck.Test.fail_reportf "final %s differs" what
+      in
+      agree "total_entries" Sys_.total_entries;
+      agree "migrations" Sys_.migrations;
+      agree "replicated_buckets" Sys_.replicated_buckets;
+      if not (Float.equal (Sys_.load_imbalance singly) (Sys_.load_imbalance batched))
+      then QCheck.Test.fail_reportf "final load_imbalance differs";
+      agree "parked_hints" Sys_.parked_hints;
+      true)
 
 let suite =
   [
@@ -320,6 +461,5 @@ let suite =
       route_cache_never_longer;
     Alcotest.test_case "batching composes with faults and replication" `Quick
       batch_faults_replication_compose;
-    Alcotest.test_case "engine batch execution matches sequential" `Quick
-      engine_execute_batch;
+    QCheck_alcotest.to_alcotest prop_batch_equals_singles;
   ]

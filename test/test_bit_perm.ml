@@ -42,16 +42,6 @@ let level_count () =
   Alcotest.(check int) "approximate variant has 1 level" 1
     (Lsh.Bit_perm.levels approx)
 
-let keys_roundtrip () =
-  let rng = Prng.Splitmix.create 4L in
-  let perm = Lsh.Bit_perm.random ~bits:32 rng in
-  let rebuilt = Lsh.Bit_perm.of_keys ~bits:32 (Lsh.Bit_perm.keys perm) in
-  for _ = 1 to 1000 do
-    let x = Prng.Splitmix.int rng (1 lsl 32) in
-    Alcotest.(check int) "same permutation" (Lsh.Bit_perm.apply perm x)
-      (Lsh.Bit_perm.apply rebuilt x)
-  done
-
 let key_validation () =
   Alcotest.check_raises "wrong popcount"
     (Invalid_argument "Bit_perm.of_keys: key must have exactly half its bits set")
@@ -210,7 +200,6 @@ let suite =
     Alcotest.test_case "single level is a bijection (16-bit)" `Quick
       bijective_one_level;
     Alcotest.test_case "level counts" `Quick level_count;
-    Alcotest.test_case "keys round-trip" `Quick keys_roundtrip;
     Alcotest.test_case "key validation" `Quick key_validation;
     Alcotest.test_case "apply rejects out-of-domain values" `Quick
       apply_domain_check;

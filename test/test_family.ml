@@ -2,7 +2,6 @@
    Pr[h(A) = h(B)] ≈ Jaccard(A, B) — estimated over many function draws. *)
 
 module Range = Rangeset.Range
-module RS = Rangeset.Range_set
 
 let mk lo hi = Range.make ~lo ~hi
 
@@ -37,18 +36,6 @@ let minhash_is_min_of_applies () =
         ranges)
     (Lsh.Family.all_kinds @ [ Lsh.Family.Random_tabulated ])
 
-let minhash_set_matches_range () =
-  let rng = Prng.Splitmix.create 2L in
-  let fn = Lsh.Family.create Lsh.Family.Approx_minwise rng in
-  let r = mk 100 200 in
-  Alcotest.(check int) "set of one range equals range"
-    (Lsh.Family.minhash_range fn r)
-    (Lsh.Family.minhash_set fn (RS.of_range r));
-  let a = mk 3 9 and b = mk 40 45 in
-  Alcotest.(check int) "set of two ranges is the lesser range min-hash"
-    (Stdlib.min (Lsh.Family.minhash_range fn a) (Lsh.Family.minhash_range fn b))
-    (Lsh.Family.minhash_set fn (RS.of_ranges [ a; b ]))
-
 let minhash_range_outside_domain () =
   let rng = Prng.Splitmix.create 22L in
   let fn = Lsh.Family.create Lsh.Family.Exact_minwise rng in
@@ -78,13 +65,6 @@ let minhash_range_allocates_nothing () =
         true
         (after -. before <= 16.0))
     [ Lsh.Family.Exact_minwise; Lsh.Family.Approx_minwise ]
-
-let minhash_empty_set_rejected () =
-  let rng = Prng.Splitmix.create 3L in
-  let fn = Lsh.Family.create Lsh.Family.Linear ~universe:1001 rng in
-  Alcotest.check_raises "empty set"
-    (Invalid_argument "Family.minhash_set: empty set") (fun () ->
-      ignore (Lsh.Family.minhash_set fn RS.empty))
 
 let kind_of_fn_roundtrip () =
   let rng = Prng.Splitmix.create 4L in
@@ -200,10 +180,6 @@ let suite =
   [
     Alcotest.test_case "minhash = min over permuted values" `Quick
       minhash_is_min_of_applies;
-    Alcotest.test_case "minhash over sets matches ranges" `Quick
-      minhash_set_matches_range;
-    Alcotest.test_case "minhash of empty set rejected" `Quick
-      minhash_empty_set_rejected;
     Alcotest.test_case "minhash rejects ranges outside the domain" `Quick
       minhash_range_outside_domain;
     Alcotest.test_case "bit-network minhash allocates nothing" `Quick

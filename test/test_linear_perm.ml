@@ -82,16 +82,6 @@ let known_values () =
   Alcotest.(check int) "3*10+7 mod 101" 37 (Lsh.Linear_perm.apply perm 10);
   Alcotest.(check int) "wraps" ((3 * 50) + 7 - 101) (Lsh.Linear_perm.apply perm 50)
 
-let coefficients_roundtrip () =
-  let rng = Prng.Splitmix.create 2L in
-  let perm = Lsh.Linear_perm.random ~p:1009 rng in
-  let a, b = Lsh.Linear_perm.coefficients perm in
-  let rebuilt = Lsh.Linear_perm.make ~p:1009 ~a ~b in
-  for x = 0 to 1008 do
-    Alcotest.(check int) "same map" (Lsh.Linear_perm.apply perm x)
-      (Lsh.Linear_perm.apply rebuilt x)
-  done
-
 let suite =
   [
     Alcotest.test_case "next_prime" `Quick next_prime_cases;
@@ -101,5 +91,4 @@ let suite =
     Alcotest.test_case "mulmod exact near overflow" `Quick mulmod_exactness;
     Alcotest.test_case "validation" `Quick validation;
     Alcotest.test_case "known values" `Quick known_values;
-    Alcotest.test_case "coefficients round-trip" `Quick coefficients_roundtrip;
   ]

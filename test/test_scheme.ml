@@ -2,7 +2,6 @@
    formula, and agreement between group identifiers and raw min-hashes. *)
 
 module Range = Rangeset.Range
-module RS = Rangeset.Range_set
 
 let mk lo hi = Range.make ~lo ~hi
 
@@ -48,14 +47,6 @@ let identifiers_are_xor_of_minhashes () =
   in
   Alcotest.(check (list int)) "pseudocode XOR" expected
     (Lsh.Scheme.identifiers_of_range s r)
-
-let set_and_range_agree () =
-  let rng = Prng.Splitmix.create 5L in
-  let s = Lsh.Scheme.create Lsh.Family.Exact_minwise ~k:3 ~l:2 rng in
-  let r = mk 42 77 in
-  Alcotest.(check (list int)) "contiguous set = range"
-    (Lsh.Scheme.identifiers_of_range s r)
-    (Lsh.Scheme.identifiers_of_set s (RS.of_range r))
 
 let amplification_formula () =
   let check name expected got =
@@ -126,73 +117,6 @@ let small_universe_identifiers_concentrate () =
     true
     (!max_id < 65536)
 
-let serialization_roundtrip () =
-  let rng = Prng.Splitmix.create 31L in
-  List.iter
-    (fun kind ->
-      let scheme = Lsh.Scheme.create ~universe:1001 kind ~k:4 ~l:3 rng in
-      let encoded = Lsh.Scheme.to_string scheme in
-      match Lsh.Scheme.of_string encoded with
-      | Error m -> Alcotest.failf "%s failed to decode: %s" (Lsh.Family.kind_name kind) m
-      | Ok decoded ->
-        Alcotest.(check int) "k preserved" 4 (Lsh.Scheme.k decoded);
-        Alcotest.(check int) "l preserved" 3 (Lsh.Scheme.l decoded);
-        (* The reconstructed scheme must hash bit-for-bit identically. *)
-        for _ = 1 to 50 do
-          let a = Prng.Splitmix.int_in_range rng ~lo:0 ~hi:1000 in
-          let b = Prng.Splitmix.int_in_range rng ~lo:0 ~hi:1000 in
-          let r = mk (min a b) (max a b) in
-          Alcotest.(check (list int))
-            (Lsh.Family.kind_name kind)
-            (Lsh.Scheme.identifiers_of_range scheme r)
-            (Lsh.Scheme.identifiers_of_range decoded r)
-        done)
-    Lsh.Family.all_kinds
-
-let serialization_sum_combine () =
-  (* Full round-trip at the paper's (k, l) with the Sum_mod combiner: the
-     decoded scheme must agree on range and set identifiers across several
-     inputs, and re-encoding must reproduce the wire string exactly. *)
-  let rng = Prng.Splitmix.create 32L in
-  let scheme =
-    Lsh.Scheme.create ~universe:1001 ~combine:Lsh.Scheme.Sum_mod
-      Lsh.Family.Approx_minwise ~k:20 ~l:5 rng
-  in
-  let wire = Lsh.Scheme.to_string scheme in
-  match Lsh.Scheme.of_string wire with
-  | Ok decoded ->
-    Alcotest.(check bool) "combine preserved" true
-      (Lsh.Scheme.combining decoded = Lsh.Scheme.Sum_mod);
-    Alcotest.(check int) "k preserved" 20 (Lsh.Scheme.k decoded);
-    Alcotest.(check int) "l preserved" 5 (Lsh.Scheme.l decoded);
-    List.iter
-      (fun (lo, hi) ->
-        Alcotest.(check (list int))
-          (Printf.sprintf "same range identifiers [%d, %d]" lo hi)
-          (Lsh.Scheme.identifiers_of_range scheme (mk lo hi))
-          (Lsh.Scheme.identifiers_of_range decoded (mk lo hi)))
-      [ (5, 50); (0, 0); (100, 900); (999, 1000) ];
-    let set = Rangeset.Range_set.of_ranges [ mk 3 9; mk 40 45 ] in
-    Alcotest.(check (list int)) "same set identifiers"
-      (Lsh.Scheme.identifiers_of_set scheme set)
-      (Lsh.Scheme.identifiers_of_set decoded set);
-    Alcotest.(check string) "re-encoding is stable" wire
-      (Lsh.Scheme.to_string decoded)
-  | Error m -> Alcotest.fail m
-
-let serialization_errors () =
-  List.iter
-    (fun s ->
-      match Lsh.Scheme.of_string s with
-      | Ok _ -> Alcotest.failf "%S must not decode" s
-      | Error _ -> ())
-    [ ""; "v2|min-wise|2|2|xor|"; "v1|minwise|2|2|xor|b32:0"; "v1|linear|1|1|xor|l0:0:0" ];
-  let rng = Prng.Splitmix.create 33L in
-  let tab = Lsh.Scheme.create ~universe:16 Lsh.Family.Random_tabulated ~k:1 ~l:1 rng in
-  Alcotest.check_raises "tabulated not portable"
-    (Invalid_argument "Family.serialize: tabulated permutations are not portable")
-    (fun () -> ignore (Lsh.Scheme.to_string tab))
-
 let bad_parameters () =
   let rng = Prng.Splitmix.create 8L in
   Alcotest.check_raises "k = 0"
@@ -206,7 +130,6 @@ let suite =
     Alcotest.test_case "deterministic" `Quick deterministic;
     Alcotest.test_case "identifier = XOR of group min-hashes" `Quick
       identifiers_are_xor_of_minhashes;
-    Alcotest.test_case "set/range agreement" `Quick set_and_range_agree;
     Alcotest.test_case "amplification formula" `Quick amplification_formula;
     Alcotest.test_case "amplification steps near 0.9 for (20,5)" `Quick
       amplification_step_at_09;
@@ -217,10 +140,4 @@ let suite =
     Alcotest.test_case "small universes concentrate identifiers" `Quick
       small_universe_identifiers_concentrate;
     Alcotest.test_case "parameter validation" `Quick bad_parameters;
-    Alcotest.test_case "serialization round-trips identifiers" `Quick
-      serialization_roundtrip;
-    Alcotest.test_case "serialization preserves sum combining" `Quick
-      serialization_sum_combine;
-    Alcotest.test_case "serialization rejects malformed input" `Quick
-      serialization_errors;
   ]

@@ -30,8 +30,24 @@ let peer_lookup () =
   Alcotest.(check string) "by name" "peer-3" (P2prange.Peer.name p);
   Alcotest.(check string) "by id" "peer-3"
     (P2prange.Peer.name (Sys_.peer_by_id s (P2prange.Peer.id p)));
-  Alcotest.check_raises "unknown name" Not_found (fun () ->
-      ignore (Sys_.peer_by_name s "nobody"))
+  Alcotest.check_raises "unknown name"
+    (P2prange.Error.Error
+       {
+         P2prange.Error.code = P2prange.Error.Unknown_peer;
+         message = "System.peer_by_name: unknown peer";
+         context = [ ("peer", "nobody") ];
+       })
+    (fun () -> ignore (Sys_.peer_by_name s "nobody"));
+  (* No peer of this 20-peer ring sits one past peer-3. *)
+  let vacant = (P2prange.Peer.id p + 1) land (Chord.Id.modulus - 1) in
+  Alcotest.check_raises "unknown position"
+    (P2prange.Error.Error
+       {
+         P2prange.Error.code = P2prange.Error.Unknown_peer;
+         message = "System.peer_by_id: no peer at this ring position";
+         context = [ ("position", Format.asprintf "%a" Chord.Id.pp vacant) ];
+       })
+    (fun () -> ignore (Sys_.peer_by_id s vacant))
 
 let identifiers_deterministic_and_l () =
   let s = default_system () in
