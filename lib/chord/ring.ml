@@ -1,25 +1,61 @@
-(* The ring is its node ids, ascending and distinct. Fingers are derived:
-   finger i of node n is [owner (n + 2^i)], one binary search away. *)
-type t = int array
+(* The ring is its node ids, ascending and distinct, plus a radix
+   directory over them. Fingers are derived: finger i of node n is
+   [owner (n + 2^i)], one directory search away.
+
+   SHA-1 ids are uniform, so the top b = ⌊log₂ n⌋ bits of a key name a
+   bucket holding one or two ids on average. [dir.(p)] is the first index
+   whose id's top b bits are >= p (so [dir.(2^b)] = n), and the first id
+   >= key lies in [dir.(p), dir.(p + 1)] for the key's bucket p: a search
+   is a binary search of that slice, which is O(1) on uniform ids and
+   never worse than O(log n) on clustered ones. *)
+type t = {
+  ids : int array;
+  dir : int array;  (* 2^b + 1 entries *)
+  shift : int;  (* 32 - b: a key's bucket is [key lsr shift] *)
+}
 
 (* First index in [lo, hi) whose id is >= key, else [hi]. Top level, so a
    search allocates no closure. *)
-let rec search sorted key lo hi =
+let rec search ids key lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if sorted.(mid) < key then search sorted key (mid + 1) hi
-    else search sorted key lo mid
+    if ids.(mid) < key then search ids key (mid + 1) hi
+    else search ids key lo mid
 
-(* Index of the owner of [key]: first node at or clockwise after key. *)
-let owner_index sorted key =
-  let n = Array.length sorted in
-  let i = search sorted key 0 n in
-  if i = n then 0 else i
+(* Index of the owner of [key]: first node at or clockwise after key. A
+   key outside [0, 2^32) has no bucket, and the first node owns it, as a
+   search of the whole array says: below the ring every id is >= the key,
+   and above it none is, which wraps to the first node. *)
+let owner_index t key =
+  let p = key lsr t.shift in
+  if p >= Array.length t.dir - 1 then 0
+  else
+    let i = search t.ids key t.dir.(p) t.dir.(p + 1) in
+    if i = Array.length t.ids then 0 else i
 
-let node_index sorted id =
-  let i = owner_index sorted id in
-  if sorted.(i) = id then i else raise Not_found
+let index_of t id =
+  let i = owner_index t id in
+  if t.ids.(i) = id then i else raise Not_found
+
+(* ⌊log₂ n⌋ for n >= 1. *)
+let floor_log2 n =
+  let rec go b = if n lsr (b + 1) = 0 then b else go (b + 1) in
+  go 0
+
+let of_sorted ids =
+  let n = Array.length ids in
+  let b = floor_log2 n in
+  let shift = Id.bits - b in
+  let dir = Array.make ((1 lsl b) + 1) n in
+  let i = ref 0 in
+  for p = 0 to (1 lsl b) - 1 do
+    while !i < n && ids.(!i) lsr shift < p do
+      incr i
+    done;
+    dir.(p) <- !i
+  done;
+  { ids; dir; shift }
 
 let create ~ids =
   if ids = [] then invalid_arg "Ring.create: no nodes";
@@ -29,7 +65,7 @@ let create ~ids =
   let sorted = Array.of_list (List.sort_uniq Int.compare ids) in
   if Array.length sorted <> List.length ids then
     invalid_arg "Ring.create: duplicate node identifiers";
-  sorted
+  of_sorted sorted
 
 let of_names names = create ~ids:(List.map Id.of_name names)
 
@@ -46,18 +82,18 @@ let random rng ~n =
   in
   create ~ids:(draw ISet.empty 0)
 
-let size = Array.length
-let node_ids = Array.copy
-let contains t id = try ignore (node_index t id : int); true with Not_found -> false
+let size t = Array.length t.ids
+let node_ids t = Array.copy t.ids
+let contains t id = try ignore (index_of t id : int); true with Not_found -> false
 
-let owner t key = t.(owner_index t key)
+let owner t key = t.ids.(owner_index t key)
 
-let successor t id = t.((node_index t id + 1) mod size t)
-let predecessor t id = t.((node_index t id + size t - 1) mod size t)
+let successor t id = t.ids.((index_of t id + 1) mod size t)
+let predecessor t id = t.ids.((index_of t id + size t - 1) mod size t)
 
 let finger t id i =
   if i < 0 || i >= Id.bits then invalid_arg "Ring.finger: index out of range";
-  ignore (node_index t id : int);
+  ignore (index_of t id : int);
   owner t (Id.add_pow2 id i)
 
 (* 2^⌊log₂ d⌋ for 1 <= d < 2^32: smear the top bit down, keep only it. *)
@@ -75,13 +111,13 @@ let top_bit d =
    from node i. Finger j starts at node + 2^j: within d, its owner lies in
    (node, p]; past d, it is the key's owner or a later node, outside
    (node, key). So the descending table scan would stop at j = ⌊log₂ d⌋. *)
-let next_hop sorted i target =
-  let n = Array.length sorted in
+let next_hop t i target =
+  let n = Array.length t.ids in
   if (i + 1) mod n = target then target
   else
-    let node = sorted.(i) in
-    let p = sorted.((target + n - 1) mod n) in
-    owner_index sorted
+    let node = t.ids.(i) in
+    let p = t.ids.((target + n - 1) mod n) in
+    owner_index t
       ((node + top_bit (Id.distance_cw ~from:node ~to_:p)) land (Id.modulus - 1))
 
 module Route_cache = struct
@@ -116,15 +152,15 @@ end
 
 (* Hops to node index [next], then on to the owner index [target];
    returns [hops] plus the hops taken. [cache] learns every node reached. *)
-let rec walk sorted cache ~target next hops =
-  let id = sorted.(next) in
+let rec walk t cache ~target next hops =
+  let id = t.ids.(next) in
   (match cache with None -> () | Some c -> Route_cache.learn c id);
   Obs.Trace.event_i "hop" "node" id;
   if next = target then hops + 1
-  else walk sorted cache ~target (next_hop sorted next target) (hops + 1)
+  else walk t cache ~target (next_hop t next target) (hops + 1)
 
 let source_index t ~msg from =
-  match node_index t from with
+  match index_of t from with
   | i -> i
   | exception Not_found -> invalid_arg msg
 
@@ -133,7 +169,7 @@ let m_messages = Obs.Metrics.counter "chord.ring.messages"
 let h_hops = Obs.Metrics.histogram "chord.ring.hops"
 
 let record t ~target hops =
-  let owner = t.(target) in
+  let owner = t.ids.(target) in
   Obs.Trace.set_int "owner" owner;
   Obs.Trace.set_int "hops" hops;
   Obs.Metrics.incr m_lookups;
@@ -171,15 +207,16 @@ let lookup_via t cache ~from ~key =
              the finger the plain walk would take anyway — so a cached lookup
              never routes longer than an uncached one. *)
           let plain = next_hop t i target in
-          match Route_cache.best_shortcut cache ~from ~target:t.(target) with
+          let owner = t.ids.(target) in
+          match Route_cache.best_shortcut cache ~from ~target:owner with
           | Some c
-            when Id.distance_cw ~from ~to_:c > Id.distance_cw ~from ~to_:t.(plain)
-            ->
+            when Id.distance_cw ~from ~to_:c
+                 > Id.distance_cw ~from ~to_:t.ids.(plain) ->
             cache.Route_cache.shortcuts <- cache.Route_cache.shortcuts + 1;
             Obs.Metrics.incr m_shortcuts;
             Obs.Trace.set_bool "shortcut" true;
             Obs.Trace.event_i "shortcut" "node" c;
-            let ci = node_index t c in
+            let ci = index_of t c in
             if ci = target then 1
             else walk t (Some cache) ~target (next_hop t ci target) 1
           | Some _ | None ->

@@ -6,10 +6,15 @@
     it, and measure per-node load and lookup path lengths. The dynamic
     protocol (joins, failures, stabilization) lives in {!Network}.
 
-    The ring stores only its sorted node identifiers, one word per node.
-    A converged finger is a function of that array, so no table is kept:
-    each hop derives its closest preceding finger with one binary search,
-    and takes the same hop a 32-entry finger table would give. *)
+    The ring stores its sorted node identifiers and a radix directory
+    over them: for b = ⌊log₂ N⌋, one index per value of an id's top b bits,
+    2{^b} + 1 ints in all, so the two hold at most 2N + 1 ints (plus a few
+    words of headers). Ids are uniform (SHA-1 placement), so a search
+    reads the key's directory slot and binary-searches the one or two ids
+    behind it; clustered ids cost O(log N) at worst. A converged finger is a function of the ids, so no
+    table is kept: each hop derives its closest preceding finger with one
+    such search, and takes the same hop a 32-entry finger table would
+    give. *)
 
 type t
 
@@ -30,6 +35,10 @@ val node_ids : t -> Id.t array
 (** Sorted copy of all node identifiers. *)
 
 val contains : t -> Id.t -> bool
+
+val index_of : t -> Id.t -> int
+(** Position of a node in {!node_ids}' ascending order, in [\[0, size)].
+    @raise Not_found if the id is not a node. *)
 
 val owner : t -> Id.t -> Id.t
 (** [owner t key] is the node that stores [key]: the first node clockwise at

@@ -12,6 +12,8 @@ val create : ?policy:Store.policy -> name:string -> unit -> t
 val id : t -> Chord.Id.t
 val name : t -> string
 val store : t -> Store.t
+(** The peer's own store. It holds no bucket table until the peer's first
+    write, so a peer that never stores anything costs a few words. *)
 
 val load : t -> int
 (** Number of cached partition entries — the quantity Figure 11 plots. *)

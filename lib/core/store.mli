@@ -26,7 +26,9 @@ type policy =
 type t
 
 val create : ?policy:policy -> unit -> t
-(** Default [Unbounded]. @raise Invalid_argument on a capacity < 1. *)
+(** Default [Unbounded]. @raise Invalid_argument on a capacity < 1. The
+    store allocates its bucket table on the first {!insert}; until then it
+    is a 3-word record, and no read below allocates one. *)
 
 val policy : t -> policy
 
@@ -41,8 +43,11 @@ val fold_bucket :
   t -> identifier:Chord.Id.t -> ('a -> entry -> 'a) -> 'a -> 'a
 (** Folds over the entries under one identifier, newest first, without
     copying the bucket — the serve path's read. Under [Lru] this counts as
-    a use of every entry: the store's clock ticks once per call, even on
-    an empty bucket, and each entry takes the new stamp. *)
+    a use of every entry: once the store has been written to, its clock
+    ticks once per call, even on an empty bucket, and each entry takes the
+    new stamp. A store never written to has no clock yet; reading it
+    changes nothing, and since stamps only order entries within one
+    store, eviction order is the same as if the clock had ticked. *)
 
 val peek_bucket : t -> identifier:Chord.Id.t -> entry list
 (** The entries under one identifier, newest first; empty if none. Never

@@ -12,16 +12,20 @@ type t = {
   cache : Lsh.Domain_cache.t option;
   sig_cache : Lsh.Sig_cache.t option;
   routing : Routing.t; (* the substrate wrapping the ring *)
-  peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position, [Peer.id] *)
-  by_name : (string, Peer.t) Hashtbl.t;
-  peer_list : Peer.t array;
+  peer_list : Peer.t array; (* creation order *)
+  ring_peers : Peer.t array;
+      (* the same peers in ring order: [ring_peers.(i)] sits at index [i]
+         of the ring's ids, so a position reaches its peer through
+         [Chord.Ring.index_of] *)
   peer_ids : int list Lazy.t;
       (* [Peer.id] of [peer_list], in order; only the planner forces it *)
   padding : Padding.t;
   tracker : Balance.Tracker.t;
   replication : replication_state option;
   migration : Balance.Migration.t option;
-  dead : (int, unit) Hashtbl.t; (* ids of failed peers *)
+  dead : (int, unit) Hashtbl.t;
+      (* ids of failed peers, usually none; [alive] is handed a peer, not
+         a ring index, so a per-index bit would cost a search to read *)
   faults : (Faults.Plane.t * Faults.Retry.policy) option;
   (* identifier -> ring positions holding parked hints for it, oldest
      first: successors that took a publish for a dead home, and native
@@ -56,20 +60,24 @@ let create_with_peers ?(config = Config.default) ~seed names =
          (fun name -> Peer.create ~policy:config.Config.store_policy ~name ())
          names)
   in
-  let peers = Hashtbl.create (Array.length peer_list) in
-  let by_name = Hashtbl.create (Array.length peer_list) in
-  Array.iter
-    (fun p ->
-      if Hashtbl.mem peers (Peer.id p) then
-        Error.raise_error
-          ~context:[ ("peer", Peer.name p) ]
-          Error.Invalid_topology
-          "System: ring position collision (rename a peer)";
-      Hashtbl.replace peers (Peer.id p) p;
-      Hashtbl.replace by_name (Peer.name p) p)
-    peer_list;
+  (* Creation indices sorted by ring position; stable, so a collision's
+     later peers follow the first. The first of those later peers in
+     creation order is the one a creation-order scan would stop at. *)
+  let order = Array.init (Array.length peer_list) Fun.id in
+  let id_at i = Peer.id peer_list.(i) in
+  Array.stable_sort (fun i j -> Int.compare (id_at i) (id_at j)) order;
+  let collision = ref max_int in
+  for k = 1 to Array.length order - 1 do
+    if id_at order.(k) = id_at order.(k - 1) then
+      collision := Stdlib.min !collision order.(k)
+  done;
+  if !collision < max_int then
+    Error.raise_error
+      ~context:[ ("peer", Peer.name peer_list.(!collision)) ]
+      Error.Invalid_topology "System: ring position collision (rename a peer)";
+  let ring_peers = Array.map (Array.get peer_list) order in
   let ring =
-    Chord.Ring.create ~ids:(Hashtbl.fold (fun id _ acc -> id :: acc) peers [])
+    Chord.Ring.create ~ids:(Array.to_list (Array.map Peer.id ring_peers))
   in
   (* Substrate construction (including the learned fit) is deterministic
      and draws nothing from [rng], so the streams below are identical
@@ -132,9 +140,8 @@ let create_with_peers ?(config = Config.default) ~seed names =
     cache;
     sig_cache;
     routing;
-    peers;
-    by_name;
     peer_list;
+    ring_peers;
     peer_ids = lazy (Array.to_list (Array.map Peer.id peer_list));
     padding = Padding.create config.Config.padding;
     tracker;
@@ -159,18 +166,28 @@ let ring t = Routing.ring t.routing
 let peers t = Array.to_list t.peer_list
 let peer_count t = Array.length t.peer_list
 
-(* [try], not [find_opt]: these run on every serve, and the option would
+(* [try], not an option: this runs on every serve, and the option would
    allocate on each lookup. *)
 let peer_by_id t id =
-  try Hashtbl.find t.peers id
+  try t.ring_peers.(Chord.Ring.index_of (ring t) id)
   with Not_found ->
     Error.raise_error
       ~context:[ ("position", Format.asprintf "%a" Chord.Id.pp id) ]
       Error.Unknown_peer "System.peer_by_id: no peer at this ring position"
 
+(* This system's peer called [name], found at [id], the SHA-1 of the
+   name: the position leads to the one peer the name can be, and the
+   name check tells it from another system's peer at the same position. *)
+let peer_named t ~id ~name =
+  match Chord.Ring.index_of (ring t) id with
+  | i when String.equal (Peer.name t.ring_peers.(i)) name ->
+    Some t.ring_peers.(i)
+  | _ | (exception Not_found) -> None
+
 let peer_by_name t name =
-  try Hashtbl.find t.by_name name
-  with Not_found ->
+  match peer_named t ~id:(Chord.Id.of_name name) ~name with
+  | Some p -> p
+  | None ->
     Error.raise_error
       ~context:[ ("peer", name) ]
       Error.Unknown_peer "System.peer_by_name: unknown peer"
@@ -228,7 +245,8 @@ let tick_faults t =
 let note_churn t peer = Routing.note_churn t.routing ~position:(Peer.id peer)
 
 let fail_peer t peer =
-  if not (Hashtbl.mem t.by_name (Peer.name peer)) then
+  if Option.is_none (peer_named t ~id:(Peer.id peer) ~name:(Peer.name peer))
+  then
     Error.raise_error
       ~context:[ ("peer", Peer.name peer) ]
       Error.Unknown_peer "System.fail_peer: unknown peer";
@@ -605,7 +623,8 @@ let repair t =
         Obs.Trace.set_int "replicas_resynced" !resynced)
 
 let recover_peer t peer =
-  if not (Hashtbl.mem t.by_name (Peer.name peer)) then
+  if Option.is_none (peer_named t ~id:(Peer.id peer) ~name:(Peer.name peer))
+  then
     Error.raise_error
       ~context:[ ("peer", Peer.name peer) ]
       Error.Unknown_peer "System.recover_peer: unknown peer";
@@ -1115,7 +1134,13 @@ let check_invariants_detailed t =
   let ids = Chord.Ring.node_ids r in
   let n = Array.length ids in
   (* 1. Ring structure: sorted distinct positions, a consistent successor
-     chain, self-ownership, and a peer behind every position. *)
+     chain, self-ownership, and the ring-order peer array in step with
+     the ring, which is what puts a peer behind every position. *)
+  if Array.length t.ring_peers <> n then
+    note "ring"
+      [ ("peers", string_of_int (Array.length t.ring_peers)) ]
+      "ring: %d peers in ring order for %d positions"
+      (Array.length t.ring_peers) n;
   Array.iteri
     (fun i id ->
       if i > 0 && ids.(i - 1) >= id then
@@ -1128,15 +1153,9 @@ let check_invariants_detailed t =
           "ring: successor(%d) = %d, expected %d" id succ expected;
       if Chord.Ring.owner r id <> id then
         note "ring" [ pos id ] "ring: position %d does not own itself" id;
-      if not (Hashtbl.mem t.peers id) then
+      if i >= Array.length t.ring_peers || Peer.id t.ring_peers.(i) <> id then
         note "ring" [ pos id ] "ring: position %d has no peer behind it" id)
     ids;
-  Hashtbl.iter
-    (fun position _ ->
-      if not (Chord.Ring.contains r position) then
-        note "ring" [ pos position ] "ring: peer position %d is not on the ring"
-          position)
-    t.peers;
   (* 2. Data reachability: every bucket stored anywhere must be servable
      from its home (owner or migration holder), a responsive registered
      replica, or a responsive hint holder. *)
@@ -1182,13 +1201,13 @@ let check_invariants_detailed t =
             "replicas: identifier %d has duplicate positions" identifier;
         List.iter
           (fun rpos ->
-            match Hashtbl.find_opt t.peers rpos with
-            | None ->
+            match peer_by_id t rpos with
+            | exception Error.Error _ ->
               note "replicas"
                 [ ident identifier; pos rpos ]
                 "replicas: identifier %d names unknown position %d" identifier
                 rpos
-            | Some rp ->
+            | rp ->
               if not (alive t rp) then
                 note "replicas"
                   [ ident identifier; ("peer", Peer.name rp) ]

@@ -53,12 +53,16 @@ val peer_count : t -> int
 
 val peer_by_id : t -> Chord.Id.t -> Peer.t
 (** The peer occupying a ring position, i.e. the peer with that
-    {!Peer.id}. @raise Error.Error ([Unknown_peer], context
+    {!Peer.id}: one {!Chord.Ring.index_of} search into the peers kept in
+    ring order. @raise Error.Error ([Unknown_peer], context
     [("position", hex)]) for identifiers that are not positions. *)
 
 val peer_by_name : t -> string -> Peer.t
-(** @raise Error.Error ([Unknown_peer], context [("peer", name)]) for
-    unknown names. *)
+(** The peer of that name. Costs one SHA-1: the name's hash is its
+    position, and the peer found there must carry the name.
+    @raise Error.Error ([Unknown_peer], context [("peer", name)]) for
+    unknown names, including another system's peer whose name hashes to
+    a position held here. *)
 
 val random_peer : t -> Prng.Splitmix.t -> Peer.t
 
@@ -119,7 +123,8 @@ val fail_peer : t -> Peer.t -> unit
     took it). A failed slice holder's writes fall back to the slice's
     native owner. Reversible with {!recover_peer}. The substrate is notified (the learned model marks
     the covering segments stale). @raise Error.Error ([Unknown_peer])
-    for peers of another system. *)
+    for peers of another system, checked by position and name as
+    {!peer_by_name} does. *)
 
 val recover_peer : t -> Peer.t -> unit
 (** Brings a {!fail_peer}ed peer back: it resumes answering lookups with

@@ -353,6 +353,170 @@ let prop_owner_is_first_at_or_after =
       in
       Chord.Ring.owner ring key = expected)
 
+(* The ring as it was before its directory, kept as the oracle for it:
+   the sorted ids alone, one binary search over all of them per question,
+   and the same derived finger hop. A cached lookup's shortcut comes from
+   [Table_router]'s fold over every learned address. *)
+module Bsearch_ring = struct
+  module Id = Chord.Id
+
+  let rec search ids key lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if ids.(mid) < key then search ids key (mid + 1) hi
+      else search ids key lo mid
+
+  let owner_index ids key =
+    let n = Array.length ids in
+    let i = search ids key 0 n in
+    if i = n then 0 else i
+
+  let index_of ids id =
+    let i = owner_index ids id in
+    if ids.(i) = id then Some i else None
+
+  let neighbour ids id step =
+    let n = Array.length ids in
+    Option.map (fun i -> ids.((i + step + n) mod n)) (index_of ids id)
+
+  (* Finger ⌊log₂ d⌋ of node index [i], d the distance to the last node
+     before the owner index [target]; the successor when that is it. *)
+  let next_hop ids i target =
+    let n = Array.length ids in
+    if (i + 1) mod n = target then target
+    else
+      let d = Id.distance_cw ~from:ids.(i) ~to_:ids.((target + n - 1) mod n) in
+      let rec log2 b = if d lsr (b + 1) = 0 then b else log2 (b + 1) in
+      owner_index ids (Id.add_pow2 ids.(i) (log2 0))
+
+  let rec walk ids learn ~target next hops =
+    learn ids.(next);
+    if next = target then hops + 1
+    else walk ids learn ~target (next_hop ids next target) (hops + 1)
+
+  let lookup ids ~from ~key =
+    let i = Option.get (index_of ids from) and target = owner_index ids key in
+    let hops =
+      if target = i then 0 else walk ids ignore ~target (next_hop ids i target) 0
+    in
+    (ids.(target), hops)
+
+  let lookup_via ids (cache : Table_router.cache) ~from ~key =
+    let i = Option.get (index_of ids from) and target = owner_index ids key in
+    let owner = ids.(target) in
+    let learn c = Hashtbl.replace cache.Table_router.known c () in
+    learn from;
+    if target = i then (owner, 0)
+    else
+      let plain = next_hop ids i target in
+      match Table_router.best_shortcut cache ~from ~target:owner with
+      | Some c
+        when Id.distance_cw ~from ~to_:c
+             > Id.distance_cw ~from ~to_:ids.(plain) ->
+        cache.Table_router.shortcuts <- cache.Table_router.shortcuts + 1;
+        let ci = Option.get (index_of ids c) in
+        ( owner,
+          if ci = target then 1
+          else walk ids learn ~target (next_hop ids ci target) 1 )
+      | Some _ | None ->
+        cache.Table_router.full_walks <- cache.Table_router.full_walks + 1;
+        (owner, walk ids learn ~target plain 0)
+end
+
+type layout = Uniform | Clustered | With_ends
+
+(* A ring of up to [n] ids, drawn from [seed]: uniform on the ring,
+   clustered in [0, 2^20) so that one directory bucket holds them all, or
+   uniform plus both ends of the ring. *)
+let draw_ids ~n ~layout ~seed =
+  let rng = Prng.Splitmix.create (Int64.of_int seed) in
+  let bound =
+    match layout with
+    | Clustered -> 1 lsl 20
+    | Uniform | With_ends -> Chord.Id.modulus
+  in
+  let drawn = List.init n (fun _ -> Prng.Splitmix.int rng bound) in
+  let ids =
+    match layout with
+    | With_ends -> 0 :: (Chord.Id.modulus - 1) :: drawn
+    | Uniform | Clustered -> drawn
+  in
+  (Array.of_list (List.sort_uniq Int.compare ids), rng)
+
+(* Node ids and their neighbours, uniform keys, and keys off the ring on
+   both sides: just past either end, far past it, [min_int] and
+   [max_int]. *)
+let draw_probe rng ids =
+  let node = ids.(Prng.Splitmix.int rng (Array.length ids)) in
+  let near = Prng.Splitmix.int rng 16
+  and far = Prng.Splitmix.int rng Chord.Id.modulus in
+  match Prng.Splitmix.int rng 10 with
+  | 0 -> node
+  | 1 -> node + 1
+  | 2 -> node - 1
+  | 3 -> -1 - near
+  | 4 -> Chord.Id.modulus + near
+  | 5 -> -1 - far
+  | 6 -> Chord.Id.modulus + far
+  | 7 -> if Prng.Splitmix.int rng 2 = 0 then min_int else max_int
+  | _ -> far
+
+let prop_directory_matches_binary_search =
+  QCheck.Test.make ~name:"the directory answers as a binary search does"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (n, layout, seed) ->
+         Printf.sprintf "n=%d layout=%s seed=%d" n
+           (match layout with
+           | Uniform -> "uniform"
+           | Clustered -> "clustered"
+           | With_ends -> "with-ends")
+           seed)
+       ~shrink:(fun (n, layout, seed) ->
+         QCheck.Iter.(
+           map
+             (fun n -> (n, layout, seed))
+             (filter (fun n -> n >= 1) (QCheck.Shrink.int n))))
+       QCheck.Gen.(
+         triple (int_range 1 5000)
+           (oneofl [ Uniform; Clustered; With_ends ])
+           (int_bound 1_000_000)))
+    (fun (n, layout, seed) ->
+      let ids, rng = draw_ids ~n ~layout ~seed in
+      let ring = Chord.Ring.create ~ids:(Array.to_list ids) in
+      let module R = Chord.Ring in
+      let module B = Bsearch_ring in
+      let agree ~key =
+        let opt f =
+          match f ring key with v -> Some v | exception Not_found -> None
+        in
+        R.owner ring key = ids.(B.owner_index ids key)
+        && opt R.index_of = B.index_of ids key
+        && R.contains ring key = Option.is_some (B.index_of ids key)
+        && opt R.successor = B.neighbour ids key 1
+        && opt R.predecessor = B.neighbour ids key (-1)
+      in
+      (* Every search first: a wrong owner index can send a walk round
+         the ring for ever. *)
+      let probes =
+        Array.init 40 (fun _ ->
+            let key = draw_probe rng ids in
+            (ids.(Prng.Splitmix.int rng (Array.length ids)), key))
+      in
+      let shared = R.Route_cache.create ()
+      and ref_shared = Table_router.new_cache () in
+      Array.for_all (fun (_, key) -> agree ~key) probes
+      && Array.for_all
+           (fun (from, key) ->
+             R.lookup ring ~from ~key = B.lookup ids ~from ~key
+             && R.lookup_via ring shared ~from ~key
+                = B.lookup_via ids ref_shared ~from ~key
+             && R.Route_cache.known shared = Hashtbl.length ref_shared.known
+             && R.Route_cache.shortcuts shared = ref_shared.shortcuts
+             && R.Route_cache.full_walks shared = ref_shared.full_walks)
+           probes)
+
 let suite =
   [
     Alcotest.test_case "ownership on a small ring" `Quick ownership_small;
@@ -376,4 +540,5 @@ let suite =
     Alcotest.test_case "lookup allocation is flat in ring size" `Quick
       lookup_allocation_flat;
     QCheck_alcotest.to_alcotest prop_owner_is_first_at_or_after;
+    QCheck_alcotest.to_alcotest prop_directory_matches_binary_search;
   ]

@@ -174,6 +174,72 @@ let capacity_one () =
   Alcotest.(check bool) "latest wins" true
     (P2prange.Store.mem s ~identifier:2 ~range:(mk 20 30))
 
+(* A store holds no table until its first insert, and reading it does
+   not make one: an unwritten unbounded store stays a 3-word record. *)
+let unwritten_reads_allocate_nothing () =
+  List.iter
+    (fun (label, policy) ->
+      let s = P2prange.Store.create ~policy () in
+      let words () = Obj.reachable_words (Obj.repr s) in
+      let before = words () in
+      read s ~identifier:7;
+      ignore (Sys.opaque_identity (P2prange.Store.peek_bucket s ~identifier:7));
+      ignore (Sys.opaque_identity (P2prange.Store.identifiers s));
+      ignore (Sys.opaque_identity (P2prange.Store.all_entries s));
+      ignore (P2prange.Store.remove_bucket s ~identifier:7 : int);
+      ignore (P2prange.Store.mem s ~identifier:7 ~range:(mk 0 10) : bool);
+      Alcotest.(check (list int))
+        (label ^ ": bucket, entry and eviction counts")
+        [ 0; 0; 0 ]
+        [
+          P2prange.Store.bucket_count s;
+          P2prange.Store.entry_count s;
+          P2prange.Store.evictions s;
+        ];
+      Alcotest.(check int) (label ^ ": reachable words") before (words ()))
+    [
+      ("unbounded", P2prange.Store.Unbounded);
+      ("lru", P2prange.Store.Lru 3);
+      ("fifo", P2prange.Store.Fifo 3);
+    ];
+  Alcotest.(check int) "an unwritten unbounded store" 3
+    (Obj.reachable_words (Obj.repr (P2prange.Store.create ())))
+
+(* Reads of a store with no table do not tick its LRU clock. Stamps only
+   order entries within one store, so however often it was read first,
+   an [Lru 3] store evicts the same entries in the same order. *)
+let lru_reads_before_first_insert () =
+  let contents s =
+    List.map
+      (fun identifier ->
+        ( identifier,
+          List.map
+            (fun e -> Range.lo e.P2prange.Store.range)
+            (P2prange.Store.peek_bucket s ~identifier) ))
+      (P2prange.Store.identifiers s)
+  in
+  let run reads =
+    let s = P2prange.Store.create ~policy:(P2prange.Store.Lru 3) () in
+    for k = 1 to reads do
+      read s ~identifier:(k mod 4)
+    done;
+    (* After each insert, read one bucket so use order differs from
+       insertion order, then record what the store holds. *)
+    List.mapi
+      (fun i identifier ->
+        insert s ~identifier (entry (10 * i) ((10 * i) + 5));
+        read s ~identifier:(i mod 3);
+        contents s)
+      [ 0; 1; 2; 0; 3; 1; 2; 2; 0; 3 ]
+  in
+  let never = run 0 in
+  List.iter
+    (fun reads ->
+      Alcotest.(check (list (list (pair int (list int)))))
+        (Printf.sprintf "read %d times before the first insert" reads)
+        never (run reads))
+    [ 1; 2; 7 ]
+
 let suite =
   [
     Alcotest.test_case "empty store" `Quick empty_bucket;
@@ -195,4 +261,8 @@ let suite =
       remove_bucket_is_not_an_eviction;
     Alcotest.test_case "capacity validation" `Quick capacity_validation;
     Alcotest.test_case "capacity of one" `Quick capacity_one;
+    Alcotest.test_case "reads of an unwritten store allocate nothing" `Quick
+      unwritten_reads_allocate_nothing;
+    Alcotest.test_case "LRU reads before the first insert change nothing"
+      `Quick lru_reads_before_first_insert;
   ]

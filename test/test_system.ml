@@ -49,6 +49,78 @@ let peer_lookup () =
        })
     (fun () -> ignore (Sys_.peer_by_id s vacant))
 
+let peer_error code message context =
+  P2prange.Error.Error { P2prange.Error.code; message; context }
+
+(* "peer-40683" and "peer-153794" hash to one ring position, 0x50adf2e4.
+   Whatever other peers there are, and wherever they come in creation
+   order, the system refuses the pair and names the later of the two. *)
+let position_collision () =
+  let a = "peer-40683" and b = "peer-153794" in
+  Alcotest.(check (list int)) "both at 0x50adf2e4" [ 0x50adf2e4; 0x50adf2e4 ]
+    [ Chord.Id.of_name a; Chord.Id.of_name b ];
+  List.iter
+    (fun (names, later) ->
+      Alcotest.check_raises (String.concat ", " names)
+        (peer_error P2prange.Error.Invalid_topology
+           "System: ring position collision (rename a peer)"
+           [ ("peer", later) ])
+        (fun () -> ignore (Sys_.create_with_peers ~seed:7L names)))
+    [
+      ([ a; b ], b);
+      ([ b; a ], a);
+      ([ "peer-1"; "peer-2"; a; b ], b);
+      ([ a; "peer-1"; "peer-2"; b ], b);
+      ([ a; b; "peer-1"; "peer-2" ], b);
+      (* Two collisions: the first later peer in creation order is named. *)
+      ([ a; "peer-1"; b; "peer-1" ], b);
+      ([ "peer-1"; a; "peer-1"; b ], "peer-1");
+    ]
+
+(* A system holding "peer-40683" has a peer at the position of
+   "peer-153794", but not that peer: lookups and churn by the foreign
+   name are refused as unknown. *)
+let foreign_peer_at_a_held_position () =
+  let s =
+    Sys_.create_with_peers ~seed:7L [ "peer-1"; "peer-40683"; "peer-2" ]
+  in
+  let held = Sys_.peer_by_name s "peer-40683" in
+  let foreign =
+    Sys_.peer_by_name (Sys_.create_with_peers ~seed:7L [ "peer-153794" ])
+      "peer-153794"
+  in
+  Alcotest.(check string) "the position leads to the held peer" "peer-40683"
+    (P2prange.Peer.name (Sys_.peer_by_id s (P2prange.Peer.id foreign)));
+  let unknown message =
+    peer_error P2prange.Error.Unknown_peer message [ ("peer", "peer-153794") ]
+  in
+  Alcotest.check_raises "peer_by_name"
+    (unknown "System.peer_by_name: unknown peer") (fun () ->
+      ignore (Sys_.peer_by_name s "peer-153794"));
+  Alcotest.check_raises "fail_peer" (unknown "System.fail_peer: unknown peer")
+    (fun () -> Sys_.fail_peer s foreign);
+  Alcotest.check_raises "recover_peer"
+    (unknown "System.recover_peer: unknown peer") (fun () ->
+      Sys_.recover_peer s foreign);
+  Alcotest.(check bool) "the held peer is untouched" true (Sys_.alive s held)
+
+(* Peers are reached by ring index, and a store holds no table until its
+   first write: 13.8 words per peer on OCaml 5.1.1, against 47.8 with
+   per-peer tables. The audit reads every store without allocating one. *)
+let words_per_fresh_peer () =
+  let n = 100_000 in
+  let config = { P2prange.Config.default with use_domain_cache = false } in
+  let s = Sys_.create ~config ~seed:42L ~n_peers:n () in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let before = words () in
+  let per_peer = float_of_int before /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per peer" per_peer)
+    true (per_peer <= 15.0);
+  Alcotest.(check (list string)) "audits clean" [] (Sys_.check_invariants s);
+  Alcotest.(check int) "the audit leaves reachable words as they were" before
+    (words ())
+
 let identifiers_deterministic_and_l () =
   let s = default_system () in
   let ids = Sys_.identifiers s (mk 30 50) in
@@ -441,6 +513,12 @@ let suite =
       invariants_detailed_structure;
     QCheck_alcotest.to_alcotest prop_published_ranges_always_found;
     Alcotest.test_case "peer lookup" `Quick peer_lookup;
+    Alcotest.test_case "a ring position collision names the later peer" `Quick
+      position_collision;
+    Alcotest.test_case "a foreign peer at a held position is unknown" `Quick
+      foreign_peer_at_a_held_position;
+    Alcotest.test_case "a fresh 100 000-peer system is small" `Slow
+      words_per_fresh_peer;
     Alcotest.test_case "identifiers: count and determinism" `Quick
       identifiers_deterministic_and_l;
     Alcotest.test_case "domain cache gives identical identifiers" `Quick
