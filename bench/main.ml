@@ -103,8 +103,7 @@ let derived_metrics () =
     [
       ("lsh_cache_hit_rate", rate hit (hit + miss));
       ("engine_cache_rate", rate from_cache (from_cache + from_source));
-      ( "total_messages",
-        Obs.Json.Int (c "chord.ring.messages" + c "chord.net.messages") );
+      ("total_messages", Obs.Json.Int (c "chord.ring.messages"));
     ]
 
 let run_section (name, title, f) =

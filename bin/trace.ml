@@ -303,12 +303,12 @@ let print_query children q =
         match s.name with
         (* A lookup nested under a route span is the same walk — show the
            route row only. *)
-        | "chord.lookup" | "chord.net.lookup"
+        | "chord.lookup"
           when (match s.parent with
                | Some p -> List.mem p route_ids
                | None -> false) ->
           None
-        | "route" | "chord.lookup" | "chord.net.lookup" ->
+        | "route" | "chord.lookup" ->
           Option.map
             (fun h ->
               let key =

@@ -1,25 +1,24 @@
-(* Churn resilience of the Chord substrate.
+(* Churn resilience of the range-selection system.
 
-   The paper assumes a converged overlay; this example exercises the
-   dynamic protocol underneath it: nodes join through a bootstrap peer,
-   stabilize, suffer a wave of abrupt failures, and repair. Throughout, we
-   issue lookups and report how many reach the correct owner and at what
-   hop cost.
+   The paper assumes a converged overlay; this example shows what peer
+   failures cost the *data* on top of it, and what the system does about
+   them. Routing stays on the converged ring throughout: a failed peer
+   keeps its ring segment, and its buckets are served by whoever else
+   holds them.
 
-   A second act moves one layer up: what failures cost the *data*, not
-   just the routing. Two identical range-selection systems — hot-bucket
-   replication off and on — serve the same skewed query stream, lose the
-   same peers, and report the recall each retains.
+   Act one: two identical systems — hot-bucket replication off and on —
+   serve the same skewed query stream, lose the same peers, and report
+   the recall each retains.
 
-   A third act turns on the deterministic fault plane: messages drop,
-   nodes crash and come back, and lookups survive (or don't) depending on
-   whether retry/backoff routing is enabled.
+   Act two turns on the deterministic fault plane: 15% of messages drop,
+   and one query stream runs once without retries, then with the default
+   backoff policy. Then, with hinted handoff on, one peer crashes and
+   recovers, and anti-entropy repair brings the system back to a clean
+   invariant audit.
 
    Run with:  dune exec examples/churn_resilience.exe
-   Optionally `-- --series FILE` records the metric timeline (stabilize
-   rounds, fault sends/drops, crash/recover marks) for timeline.exe. *)
-
-module Network = Chord.Network
+   Optionally `-- --series FILE` records the metric timeline (fault
+   sends/drops/retries, crash and repair marks) for timeline.exe. *)
 
 let series_path =
   match Array.to_list Sys.argv with
@@ -28,72 +27,8 @@ let series_path =
 
 let () = if series_path <> None then Obs.Series.enable ()
 
-let rng = Prng.Splitmix.create 777L
-
-let random_id () = Prng.Splitmix.int rng Chord.Id.modulus
-
-let lookup_health net ~label =
-  let nodes = Array.of_list (Network.node_ids net) in
-  let ring = Network.to_ring net in
-  let total = 500 and ok = ref 0 and correct = ref 0 and hops_sum = ref 0 in
-  for _ = 1 to total do
-    let from = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
-    let key = random_id () in
-    match Network.find_successor net ~from ~key with
-    | Some (owner, hops) ->
-      incr ok;
-      hops_sum := !hops_sum + hops;
-      if owner = Chord.Ring.owner ring key then incr correct
-    | None -> ()
-  done;
-  Format.printf
-    "%-32s nodes=%-4d routed %3d/%d  correct owner %3d/%d  mean hops %.2f@."
-    label (Network.size net) !ok total !correct total
-    (float_of_int !hops_sum /. float_of_int (Stdlib.max 1 !ok))
-
 let () =
-  let net = Network.create ~successor_list_length:8 () in
-  let bootstrap = random_id () in
-  Network.add_first net bootstrap;
-
-  (* 60 nodes join through the bootstrap node, stabilizing as they come. *)
-  let ids = ref [ bootstrap ] in
-  for _ = 1 to 60 do
-    let id = random_id () in
-    if not (List.mem id !ids) then begin
-      Network.join net id ~via:bootstrap;
-      ids := id :: !ids;
-      Network.stabilize net ~rounds:2
-    end
-  done;
-  Network.stabilize net ~rounds:8;
-  Format.printf "converged after joins: %b@.@." (Network.is_converged net);
-  lookup_health net ~label:"after 61 joins + stabilization";
-
-  (* A quarter of the network fails abruptly — no goodbyes. *)
-  let victims =
-    List.filteri (fun i id -> i mod 4 = 0 && id <> bootstrap) !ids
-  in
-  List.iter (Network.fail net) victims;
-  Format.printf "@.killed %d nodes abruptly@." (List.length victims);
-  lookup_health net ~label:"immediately after failures";
-
-  (* Stabilization repairs successors, predecessors and fingers. *)
-  Network.stabilize net ~rounds:12;
-  Format.printf "@.re-converged after repair: %b@." (Network.is_converged net);
-  lookup_health net ~label:"after 12 stabilization rounds";
-
-  (* Fresh nodes can still join the repaired network. *)
-  for _ = 1 to 10 do
-    let id = random_id () in
-    if not (Network.alive net id) then Network.join net id ~via:bootstrap;
-    Network.stabilize net ~rounds:2
-  done;
-  Network.stabilize net ~rounds:8;
-  Format.printf "@.after 10 more joins, converged: %b@." (Network.is_converged net);
-  lookup_health net ~label:"after post-repair joins";
-
-  (* ---- act two: recall through failures, with and without replication.
+  (* ---- act one: recall through failures, with and without replication.
 
      Same seed, same peers, same Zipf-skewed queries; the only difference
      is the [replication] knob. One identifier per range (l = 1) so a
@@ -170,48 +105,105 @@ let () =
         (System.replicated_buckets sys))
     warm;
 
-  (* ---- act three: the fault plane — drops, crashes, retries.
+  (* ---- act two: the fault plane — drops, retries, a crash and repair.
 
-     A fresh converged overlay under a seeded fault plane: 15% of
-     messages drop, and lookups run once without retries, then with the
-     default backoff policy. Then a node crash/recover cycle shows the
-     network routing around a silent node and re-absorbing it. *)
+     Fresh 48-peer systems with the paper's l = 5 identifiers per range
+     (spread over the ring, so one peer owns a share of them, not all),
+     under a seeded fault plane that drops 15% of messages. The same
+     query stream runs once with single-attempt contacts, then with the
+     default backoff policy. *)
   let module Plane = Faults.Plane in
-  Format.printf "@.--- act three: deterministic fault injection ---@.";
-  let net2 = Network.create ~successor_list_length:8 () in
-  let bootstrap2 = random_id () in
-  Network.add_first net2 bootstrap2;
-  for _ = 1 to 47 do
-    let id = random_id () in
-    if not (Network.alive net2 id) then begin
-      Network.join net2 id ~via:bootstrap2;
-      Network.stabilize net2 ~rounds:2
-    end
+  Format.printf "@.--- act two: deterministic fault injection ---@.";
+  let with_plane ?(hinted = false) ~drop retry =
+    Config.default
+    |> Config.with_spread_identifiers true
+    |> Config.with_faults
+         { Config.spec = { Plane.no_faults with Plane.drop }; retry }
+    |> Config.with_hinted_handoff hinted
+  in
+  let serve sys ~label ~stream_seed ~n =
+    let rng = Prng.Splitmix.create stream_seed in
+    let stream =
+      Workload.Query_workload.create
+        (Workload.Query_workload.Zipf_hotspots
+           { hotspots = 8; spread = 64; s = 1.0 })
+        ~domain:Config.default.Config.domain ~seed:stream_seed
+    in
+    let from =
+      Array.of_list (List.filter (System.responsive sys) (System.peers sys))
+    in
+    let responders = ref 0 and degraded = ref 0 and recall = ref 0.0 in
+    for _ = 1 to n do
+      let r =
+        System.query sys
+          ~from:from.(Prng.Splitmix.int rng (Array.length from))
+          (Workload.Query_workload.next stream)
+      in
+      responders := !responders + r.Query_result.responders;
+      if r.Query_result.degraded then incr degraded;
+      recall := !recall +. r.Query_result.recall
+    done;
+    let per x = x /. float_of_int n in
+    Format.printf
+      "%-28s responders/query %.2f  degraded %.3f  mean recall %.3f@." label
+      (per (float_of_int !responders))
+      (per (float_of_int !degraded))
+      (per !recall)
+  in
+  List.iter
+    (fun (label, retry) ->
+      let sys =
+        System.create ~config:(with_plane ~drop:0.15 retry) ~seed:778L
+          ~n_peers ()
+      in
+      serve sys ~label ~stream_seed:779L ~n:2000)
+    [
+      ("15% drop, no retries", Faults.Retry.none);
+      ("15% drop, retry/backoff", Faults.Retry.default);
+    ];
+  (* A crash under a quiet plane, with hinted handoff: publishes whose
+     owner is the silent peer park as hints at its successor, and repair
+     replays them home once it answers again. *)
+  let sys =
+    System.create
+      ~config:(with_plane ~hinted:true ~drop:0.0 Faults.Retry.default)
+      ~seed:778L ~n_peers ()
+  in
+  serve sys ~label:"quiet plane, warm-up" ~stream_seed:779L ~n:2000;
+  let plane = Option.get (System.fault_plane sys) in
+  let victim =
+    let load p =
+      Balance.Tracker.peer_load (System.tracker sys) (P2prange.Peer.id p)
+    in
+    List.fold_left
+      (fun best p -> if load p > load best then p else best)
+      (List.hd (System.peers sys)) (System.peers sys)
+  in
+  Plane.crash plane (P2prange.Peer.id victim);
+  Format.printf "@.crashed %s, the most loaded peer (alive, not answering)@."
+    (P2prange.Peer.name victim);
+  serve sys ~label:"while it is down" ~stream_seed:780L ~n:1000;
+  let publishes =
+    Workload.Query_workload.create Workload.Query_workload.Uniform_pairs
+      ~domain:Config.default.Config.domain ~seed:781L
+  in
+  let from = List.find (System.responsive sys) (System.peers sys) in
+  for _ = 1 to 200 do
+    ignore (System.publish sys ~from (Workload.Query_workload.next publishes))
   done;
-  Network.stabilize net2 ~rounds:10;
-  lookup_health net2 ~label:"fault-free baseline";
-  let spec = { Plane.no_faults with Plane.drop = 0.15 } in
-  Network.set_faults net2 ~retry:Faults.Retry.none
-    (Plane.create ~spec ~seed:778L ());
-  lookup_health net2 ~label:"15% drop, no retries";
-  Network.set_faults net2 ~retry:Faults.Retry.default
-    (Plane.create ~spec ~seed:778L ());
-  lookup_health net2 ~label:"15% drop, retry/backoff";
-  (* Crash a node under a clean plane: routing skirts it, then it
-     recovers and stabilization welcomes it back. *)
-  let plane = Plane.create ~seed:779L () in
-  Network.set_faults net2 plane;
-  let victim = List.nth (Network.node_ids net2) 7 in
-  Plane.crash plane victim;
-  Network.stabilize net2 ~rounds:8;
-  Format.printf "@.crashed one node (still alive, not responding)@.";
-  lookup_health net2 ~label:"routing around the crashed node";
-  Plane.recover plane victim;
-  Plane.tick plane;
-  Network.stabilize net2 ~rounds:10;
-  Format.printf "node recovered; converged again: %b@."
-    (Network.is_converged net2);
-  lookup_health net2 ~label:"after crash/recover cycle";
+  Format.printf "200 publishes while it is down: %d identifiers parked as hints@."
+    (System.parked_hints sys);
+  Plane.recover plane (P2prange.Peer.id victim);
+  System.repair sys;
+  let violations = System.check_invariants sys in
+  Format.printf "recovered and repaired: %d hints parked, %d invariant violations@."
+    (System.parked_hints sys) (List.length violations);
+  (* The repaired system must audit clean; CI runs this example. *)
+  if violations <> [] then begin
+    List.iter prerr_endline violations;
+    exit 1
+  end;
+  serve sys ~label:"after recovery" ~stream_seed:782L ~n:1000;
   match series_path with
   | None -> ()
   | Some path ->

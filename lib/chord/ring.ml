@@ -67,8 +67,6 @@ let create ~ids =
     invalid_arg "Ring.create: duplicate node identifiers";
   of_sorted sorted
 
-let of_names names = create ~ids:(List.map Id.of_name names)
-
 let random rng ~n =
   if n <= 0 then invalid_arg "Ring.random: need at least one node";
   let module ISet = Set.Make (Int) in
@@ -84,7 +82,6 @@ let random rng ~n =
 
 let size t = Array.length t.ids
 let node_ids t = Array.copy t.ids
-let contains t id = try ignore (index_of t id : int); true with Not_found -> false
 
 let owner t key = t.ids.(owner_index t key)
 

@@ -3,8 +3,10 @@
     This models a converged network (every node's successor and fingers are
     correct), which is the setting of the paper's scalability experiments
     (§5.3): build a ring of N peers, map 50,000 partition identifiers onto
-    it, and measure per-node load and lookup path lengths. The dynamic
-    protocol (joins, failures, stabilization) lives in {!Network}.
+    it, and measure per-node load and lookup path lengths. Churn is
+    modelled above the ring, on the data layer: a failed peer keeps its
+    ring segment and its data is served by replicas and hint holders (see
+    [System.fail_peer]); no join/stabilize protocol is simulated.
 
     The ring stores its sorted node identifiers and a radix directory
     over them: for b = ⌊log₂ N⌋, one index per value of an id's top b bits,
@@ -22,19 +24,12 @@ val create : ids:Id.t list -> t
 (** Builds the ring for the given node identifiers.
     @raise Invalid_argument on an empty list, duplicates, or invalid ids. *)
 
-val of_names : string list -> t
-(** Places one node per name at [Id.of_name name] — the paper's SHA-1
-    placement. @raise Invalid_argument on hash collisions (regenerate with
-    different names; collisions are ~N²/2³³, negligible for N ≤ 10⁵). *)
-
 val random : Prng.Splitmix.t -> n:int -> t
 (** [n] nodes at distinct uniform identifiers. *)
 
 val size : t -> int
 val node_ids : t -> Id.t array
 (** Sorted copy of all node identifiers. *)
-
-val contains : t -> Id.t -> bool
 
 val index_of : t -> Id.t -> int
 (** Position of a node in {!node_ids}' ascending order, in [\[0, size)].
@@ -75,9 +70,6 @@ module Route_cache : sig
   type t
 
   val create : unit -> t
-
-  val learn : t -> Id.t -> unit
-  (** Record a node address (normally done by {!lookup_via} itself). *)
 
   val known : t -> int
   (** Distinct node addresses learned so far; counting takes time linear

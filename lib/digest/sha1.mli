@@ -14,9 +14,7 @@ val digest_string : string -> digest
 val to_hex : digest -> string
 (** Lowercase 40-character hexadecimal rendering. *)
 
-val to_int32 : digest -> int32
-(** The first four digest bytes, big-endian — a uniform 32-bit value. *)
-
 val to_uint32 : digest -> int
-(** [to_int32] reinterpreted as an unsigned value in [\[0, 2{^32})],
-    suitable as a Chord ring identifier. *)
+(** The first four digest bytes, big-endian, as an unsigned value in
+    [\[0, 2{^32})] — a uniform 32-bit value, suitable as a Chord ring
+    identifier. *)

@@ -266,8 +266,10 @@ let send t ~src ~dst =
     Delivered lat
   end
 
+(* A request across [legs] overlay hops: [legs] independent [send] draws,
+   failing at the first lost leg; latencies accumulate. *)
 let send_route t ~src ~dst ~legs =
-  if legs < 1 then invalid_arg "Faults.send_route: legs must be >= 1";
+  if legs < 1 then invalid_arg "Faults.rpc: legs must be >= 1";
   let rec walk i acc =
     if i > legs then Delivered acc
     else

@@ -112,11 +112,6 @@ val send : t -> src:int -> dst:int -> outcome
     the plane's stream; a crashed or partitioned-away destination is
     [Unreachable] without consuming a draw. *)
 
-val send_route : t -> src:int -> dst:int -> legs:int -> outcome
-(** A request that crosses [legs] overlay hops: [legs] independent [send]
-    draws, failing at the first lost leg; latencies accumulate.
-    @raise Invalid_argument if [legs < 1]. *)
-
 val rpc :
   t ->
   retry:Retry.policy ->
@@ -125,9 +120,12 @@ val rpc :
   ?legs:int ->
   unit ->
   (float, float) result
-(** A complete RPC under the retry policy: attempts [send_route] up to
-    [max_attempts] times with capped exponential backoff (jitter drawn
-    from the plane's stream), giving up when attempts or the time budget
-    run out. [Ok elapsed_ms] on delivery, [Error elapsed_ms] on timeout.
-    Retries and timeouts are counted on [faults.retries] /
-    [faults.timeouts]. *)
+(** A complete RPC under the retry policy. Each attempt is a request
+    that crosses [legs] (default 1) overlay hops: [legs] independent
+    {!send} draws, failing at the first lost leg, latencies accumulating.
+    Attempts repeat up to [max_attempts] times with capped exponential
+    backoff (jitter drawn from the plane's stream), giving up when
+    attempts or the time budget run out. [Ok elapsed_ms] on delivery,
+    [Error elapsed_ms] on timeout. Retries and timeouts are counted on
+    [faults.retries] / [faults.timeouts].
+    @raise Invalid_argument if [legs < 1]. *)

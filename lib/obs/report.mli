@@ -9,18 +9,9 @@ val document : ?command:string -> (string * Json.t) list -> Json.t
 (** [document fields] is an object starting with [schema_version] (and
     [command] when given) followed by [fields], in order. *)
 
-val write_metrics : string -> command:string -> unit
-(** Snapshot {!Metrics} into [document ~command] and write it to the
-    path, echoing where it went. *)
-
 val write_trace : string -> unit
 (** Write the recorded trace via {!Trace.write} (Chrome JSON for [.json]
     paths, JSONL otherwise), echoing where it went and the span count. *)
-
-val write_series : string -> unit
-(** Write the metric timeline via {!Series.write} (Prometheus text for
-    [.prom] paths, JSONL otherwise), echoing where it went and the point
-    count. *)
 
 val with_json :
   ?series:string option ->

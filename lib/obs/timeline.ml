@@ -128,6 +128,8 @@ let load path =
   | text -> of_string text
   | exception Sys_error msg -> Error msg
 
+(* Scalar projection of a point: a counter's window increment, a gauge's
+   value, a summary's mean ([nan] when empty). *)
 let value_of = function
   | Count c -> float_of_int c
   | Gauge v -> v
@@ -148,6 +150,9 @@ let series t ~metric ~labels =
 let mark_ticks t name =
   List.filter_map (fun m -> if m.name = name then Some m.at else None) t.marks
 
+(* Mean of a selector over windows with [from < at <= until]: summaries
+   pool their underlying observations ([Σsum / Σn]); counts and gauges
+   average per window. [None] when no window lands in the interval. *)
 let weighted_mean t ~metric ~labels ~from ~until =
   let n = ref 0.0 and sum = ref 0.0 in
   List.iter

@@ -37,10 +37,6 @@ val of_string : string -> (t, string) result
 val load : string -> (t, string) result
 (** {!of_string} on a file's contents ([Error] on read failure too). *)
 
-val value_of : value -> float
-(** Scalar projection of a point: a counter's window increment, a gauge's
-    value, a summary's mean ([nan] when empty). *)
-
 val selectors : t -> (string * (string * string) list) list
 (** Distinct [(metric, labels)] pairs with at least one point, sorted. *)
 
@@ -50,12 +46,6 @@ val series : t -> metric:string -> labels:(string * string) list -> (int * float
 
 val mark_ticks : t -> string -> int list
 (** Ticks of every mark with the given name, in order. *)
-
-val weighted_mean : t -> metric:string -> labels:(string * string) list ->
-  from:int -> until:int -> float option
-(** Mean of a selector over windows with [from < at <= until]: summaries
-    pool their underlying observations ([Σsum / Σn]); counts and gauges
-    average per window. [None] when no window lands in the interval. *)
 
 val check_dip : t -> metric:string -> labels:(string * string) list ->
   mark:string -> within:int -> min_dip:float -> (string, string) result

@@ -52,11 +52,6 @@ let jaccard a b =
 let containment ~query ~answer =
   float_of_int (overlap_cardinal query answer) /. float_of_int (cardinal query)
 
-let iter_values f t =
-  for v = t.lo to t.hi do
-    f v
-  done
-
 let fold_values f init t =
   let acc = ref init in
   for v = t.lo to t.hi do

@@ -53,9 +53,6 @@ val containment : query:t -> answer:t -> float
 (** [|Q ∩ R| / |Q|] — the fraction of the query covered by the answer. This
     is both the paper's containment similarity and its recall measure. *)
 
-val iter_values : (int -> unit) -> t -> unit
-(** Applies the function to every covered integer, in increasing order. *)
-
 val fold_values : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val to_values : t -> int list

@@ -167,7 +167,10 @@ let system_signature_cache () =
    longer than the plain walk; once warm it takes shortcut first hops. *)
 let route_cache_never_longer () =
   let ring =
-    Chord.Ring.of_names (List.init 48 (Printf.sprintf "cache-node-%d"))
+    Chord.Ring.create
+      ~ids:
+        (List.init 48 (fun i ->
+             Chord.Id.of_name (Printf.sprintf "cache-node-%d" i)))
   in
   let nodes = Chord.Ring.node_ids ring in
   let from = nodes.(0) in

@@ -1,6 +1,5 @@
 (* The deterministic fault plane: seeded replay, drop/delay/laggard/crash
-   semantics, retry/backoff arithmetic, and its integration with the
-   dynamic Chord network. *)
+   semantics, retry/backoff arithmetic and config validation. *)
 
 module Plane = Faults.Plane
 module Retry = Faults.Retry
@@ -402,112 +401,6 @@ let validation_rejects_nonsense () =
                retry = Retry.default;
              }))
 
-(* ---- integration with the dynamic Chord network ---- *)
-
-let build_network ?faults ?retry ids =
-  let net = Chord.Network.create ?faults ?retry () in
-  (match ids with
-  | [] -> ()
-  | first :: rest ->
-    Chord.Network.add_first net first;
-    List.iter
-      (fun id ->
-        Chord.Network.join net id ~via:first;
-        Chord.Network.stabilize net ~rounds:2)
-      rest);
-  Chord.Network.stabilize net ~rounds:10;
-  net
-
-let ids = List.init 32 (fun i -> ((i * 2654435761) + 17) land ((1 lsl 32) - 1))
-
-let network_with_total_loss_dead_ends () =
-  (* A converged network, then every message dropped: lookups from a node
-     to keys outside its own segment must dead-end, never raise. *)
-  let net = build_network ids in
-  Chord.Network.set_faults net ~retry:Faults.Retry.none
-    (Plane.create ~spec:{ Plane.no_faults with drop = 1.0 } ~seed:5L ());
-  let rng = Prng.Splitmix.create 12L in
-  let nodes = Array.of_list (Chord.Network.node_ids net) in
-  let dead_ends = ref 0 in
-  for _ = 1 to 100 do
-    let from = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
-    let key = Prng.Splitmix.int rng (1 lsl 32) in
-    match Chord.Network.find_successor net ~from ~key with
-    | None -> incr dead_ends
-    | Some (owner, hops) ->
-      (* Only answerable locally: zero hops from the owner itself. *)
-      Alcotest.(check int) "only local answers survive total loss" 0 hops;
-      Alcotest.(check int) "local answer is the asking node" from owner
-  done;
-  Alcotest.(check bool) "most lookups dead-end" true (!dead_ends > 50);
-  (* Detaching the plane restores clean routing. *)
-  Chord.Network.clear_faults net;
-  let ring = Chord.Network.to_ring net in
-  for _ = 1 to 100 do
-    let from = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
-    let key = Prng.Splitmix.int rng (1 lsl 32) in
-    match Chord.Network.find_successor net ~from ~key with
-    | Some (owner, _) ->
-      Alcotest.(check int) "clean again" (Chord.Ring.owner ring key) owner
-    | None -> Alcotest.fail "dead-end after clear_faults"
-  done
-
-let network_retries_beat_drops () =
-  (* Same membership, same plane seed, 30% drop: retried routing answers
-     strictly more lookups than single-attempt routing. *)
-  let count_routed retry =
-    let net = build_network ids in
-    Chord.Network.set_faults net ~retry
-      (Plane.create ~spec:{ Plane.no_faults with drop = 0.3 } ~seed:9L ());
-    let rng = Prng.Splitmix.create 13L in
-    let nodes = Array.of_list (Chord.Network.node_ids net) in
-    let routed = ref 0 in
-    for _ = 1 to 300 do
-      let from = nodes.(Prng.Splitmix.int rng (Array.length nodes)) in
-      let key = Prng.Splitmix.int rng (1 lsl 32) in
-      match Chord.Network.find_successor net ~from ~key with
-      | Some _ -> incr routed
-      | None -> ()
-    done;
-    !routed
-  in
-  let lone = count_routed Faults.Retry.none in
-  let retried = count_routed Faults.Retry.default in
-  Alcotest.(check bool)
-    (Printf.sprintf "retry answers more lookups (%d vs %d)" retried lone)
-    true
-    (retried > lone + 30)
-
-let network_crashed_nodes_rejoin () =
-  (* A plane-crash makes a node unresponsive without killing it; recovery
-     plus stabilization restores convergence over the full membership. *)
-  let plane = Plane.create ~seed:6L () in
-  let net = build_network ~faults:plane ids in
-  Alcotest.(check bool) "converged with a quiet plane" true
-    (Chord.Network.is_converged net);
-  let victim = List.nth (Chord.Network.node_ids net) 5 in
-  Plane.crash plane victim;
-  Alcotest.(check bool) "still alive" true (Chord.Network.alive net victim);
-  Alcotest.(check bool) "but unresponsive" false
-    (Chord.Network.responsive net victim);
-  Chord.Network.stabilize net ~rounds:8;
-  (* The ring routes around the crashed node while it is down. *)
-  let pred =
-    let sorted = Chord.Network.node_ids net in
-    let rec before prev = function
-      | [] -> prev
-      | x :: rest -> if x = victim then prev else before x rest
-    in
-    before (List.nth sorted (List.length sorted - 1)) sorted
-  in
-  Alcotest.(check bool) "predecessor skips the crashed node" true
-    (Chord.Network.successor net pred <> victim);
-  Plane.recover plane victim;
-  Plane.tick plane;
-  Chord.Network.stabilize net ~rounds:10;
-  Alcotest.(check bool) "re-converged after plane recovery" true
-    (Chord.Network.is_converged net)
-
 let suite =
   [
     Alcotest.test_case "same seed replays bit-identically" `Quick
@@ -534,10 +427,4 @@ let suite =
     Alcotest.test_case "backoff arithmetic" `Quick backoff_arithmetic;
     Alcotest.test_case "validation rejects nonsense" `Quick
       validation_rejects_nonsense;
-    Alcotest.test_case "network: total loss degrades to dead-ends" `Quick
-      network_with_total_loss_dead_ends;
-    Alcotest.test_case "network: retries beat drops" `Quick
-      network_retries_beat_drops;
-    Alcotest.test_case "network: crashed nodes rejoin" `Quick
-      network_crashed_nodes_rejoin;
   ]

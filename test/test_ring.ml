@@ -87,12 +87,6 @@ let construction_validation () =
     (Invalid_argument "Ring.create: invalid id") (fun () ->
       ignore (mk [ 1 lsl 32 ]))
 
-let of_names_matches_sha1 () =
-  let ring = Chord.Ring.of_names [ "alpha"; "beta"; "gamma" ] in
-  Alcotest.(check bool) "alpha present" true
-    (Chord.Ring.contains ring (Chord.Id.of_name "alpha"));
-  Alcotest.(check int) "size" 3 (Chord.Ring.size ring)
-
 (* [Ring.random] keeps drawing until it holds [n] distinct ids. The
    digests pin the exact ids two seeds produce, so a change to how draws
    are counted or deduplicated cannot pass silently. *)
@@ -493,7 +487,6 @@ let prop_directory_matches_binary_search =
         in
         R.owner ring key = ids.(B.owner_index ids key)
         && opt R.index_of = B.index_of ids key
-        && R.contains ring key = Option.is_some (B.index_of ids key)
         && opt R.successor = B.neighbour ids key 1
         && opt R.predecessor = B.neighbour ids key (-1)
       in
@@ -530,8 +523,6 @@ let suite =
     Alcotest.test_case "owner-sourced lookup is free" `Quick
       lookup_from_owner_is_free;
     Alcotest.test_case "construction validation" `Quick construction_validation;
-    Alcotest.test_case "of_names uses SHA-1 placement" `Quick
-      of_names_matches_sha1;
     Alcotest.test_case "random ring ids are pinned per seed" `Quick
       random_ids_pinned;
     Alcotest.test_case "derived fingers route like finger tables" `Quick
