@@ -135,8 +135,14 @@ let time_once f =
   Unix.gettimeofday () -. t0
 
 (* Mean wall-clock milliseconds per call of [once]. Repetitions adapt so
-   fast kernels still get stable numbers. *)
+   fast kernels still get stable numbers. They run with the Metrics plane
+   off: how many fit in the time varies between runs, and the section's
+   counters must not. *)
 let time_ms once =
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.disable ();
+  Fun.protect ~finally:(fun () -> if was_enabled then Obs.Metrics.enable ())
+  @@ fun () ->
   once () (* warm-up *);
   let reps = ref 1 and elapsed = ref (time_once once) in
   while !elapsed < 0.05 do
@@ -1182,7 +1188,7 @@ let migration_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Robustness floor, gated at the acceptance cell (drop 0.1, 10% crashed):
-   the retry/backoff machinery must recover at least this much recall over
+   the retry policy must recover at least this much recall over
    retry-disabled routing. *)
 let min_recall_gap = 0.15
 

@@ -12,7 +12,7 @@
 
    Act two turns on the deterministic fault plane: 15% of messages drop,
    and one query stream runs once without retries, then with the default
-   backoff policy. Then, with hinted handoff on, one peer crashes and
+   retry policy. Then, with hinted handoff on, one peer crashes and
    recovers, and anti-entropy repair brings the system back to a clean
    invariant audit.
 
@@ -111,7 +111,7 @@ let () =
      (spread over the ring, so one peer owns a share of them, not all),
      under a seeded fault plane that drops 15% of messages. The same
      query stream runs once with single-attempt contacts, then with the
-     default backoff policy. *)
+     default retry policy. *)
   let module Plane = Faults.Plane in
   Format.printf "@.--- act two: deterministic fault injection ---@.";
   let with_plane ?(hinted = false) ~drop retry =

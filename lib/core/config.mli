@@ -67,10 +67,10 @@ val default_migrate : migrate
     share, 2048-lookup hotness window. *)
 
 type faults = {
-  spec : Faults.Plane.spec;  (** drop/delay/laggard/crash model *)
+  spec : Faults.Plane.spec;  (** drop/crash/partition model *)
   retry : Faults.Retry.policy;
-      (** backoff and budget for retried contacts; use {!Faults.Retry.none}
-          to inject faults without recovery (the ablation baseline) *)
+      (** attempts per retried contact; use {!Faults.Retry.none} to inject
+          faults without recovery (the ablation baseline) *)
 }
 (** Deterministic fault injection at every simulated message boundary:
     lookup hops inside Chord and the owner contacts of publish/query. The

@@ -30,11 +30,11 @@ type t = {
   stats : lookup_stats;
   cached : bool;  (** whether this query's range was stored at the owners *)
   responders : int;
-      (** owner contacts that answered within the retry budget; equals
-          the identifier count on a fault-free run *)
+      (** owner contacts that answered within the retry policy's
+          attempts; equals the identifier count on a fault-free run *)
   degraded : bool;
       (** true when at least one owner went unanswered (crashed peer or
-          exhausted retry budget) — the result is best-effort over the
+          contact out of retry attempts) — the result is best-effort over the
           responders rather than an error *)
 }
 

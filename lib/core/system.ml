@@ -219,15 +219,14 @@ let fault_plane t = Option.map fst t.faults
 
 (* One retried owner contact from the querying peer, crossing [legs]
    overlay hops per attempt (each hop is an independent chance to lose the
-   message). True when the contact lands within the retry budget; always
+   message). True when some attempt the retry policy allows lands; always
    true without a plane. *)
 let contact_peer t ~from ~peer ~legs =
   match t.faults with
   | None -> true
   | Some (plane, retry) ->
-    Result.is_ok
-      (Faults.Plane.rpc plane ~retry ~src:(Peer.id from) ~dst:(Peer.id peer)
-         ~legs ())
+    Faults.Plane.rpc plane ~retry ~src:(Peer.id from) ~dst:(Peer.id peer)
+      ~legs ()
 
 (* One tick of the logical clocks per protocol operation: the fault
    plane's (crash windows, message fates) and the series recorder's
@@ -1011,7 +1010,7 @@ let query t ~from range =
       let routes = route_all t ~from ids in
       (* Each serving peer replies with its best local candidate; identifiers
          whose owner failed with no replica to fail over to — or whose contact
-         ran out its retry budget — go unanswered. *)
+         ran out of retry attempts — go unanswered. *)
       let served = serve_all t ~from ~effective routes in
       let messages =
         List.fold_left (fun acc (_, h, _, _) -> acc + h + 1) 0 served

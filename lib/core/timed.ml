@@ -2,11 +2,24 @@ type latency_model = { hop_ms : float; jitter_ms : float; service_ms : float }
 
 let default_latency = { hop_ms = 10.0; jitter_ms = 5.0; service_ms = 2.0 }
 
+(* One submitted query: its lookups still unanswered, and its latest
+   reply so far with the serve index of the lookup that sent it. *)
+type query = {
+  submitted : float;
+  mutable outstanding : int;
+  mutable finish : float;
+  mutable decided_by : int;
+}
+
+(* One lookup reaching its owner. *)
+type arrival = { time : float; owner : int; query : query }
+
 type t = {
   system : System.t;
   latency : latency_model;
   rng : Prng.Splitmix.t;
-  engine : Simnet.Engine.t;
+  mutable pending : arrival list; (* reversed submission order *)
+  mutable clock : float; (* the latest replayed instant *)
   (* FIFO servers: when each peer becomes free, keyed by peer id. *)
   busy_until : (int, float) Hashtbl.t;
   service_total : (int, float) Hashtbl.t;
@@ -18,7 +31,8 @@ let create ?(latency = default_latency) ~system ~seed () =
     system;
     latency;
     rng = Prng.Splitmix.create seed;
-    engine = Simnet.Engine.create ();
+    pending = [];
+    clock = 0.0;
     busy_until = Hashtbl.create 64;
     service_total = Hashtbl.create 64;
     completed = [];
@@ -37,41 +51,61 @@ let route_delay t hops =
   !sum
 
 let submit t ~at ~from range =
+  if at < t.clock then invalid_arg "Timed.submit: at is before the replayed end";
   (* Match and cache instantly — identical outcomes to the untimed
-     protocol — then replay the lookups on the simulated clock. *)
+     protocol — then record the lookups' arrivals for [run] to replay. *)
   let result = System.query t.system ~from range in
   let lookups =
     List.combine result.Query_result.stats.Query_result.identifiers
       result.Query_result.stats.Query_result.hops
   in
-  let outstanding = ref (List.length lookups) in
-  let finish_at = ref at in
+  let query =
+    { submitted = at; outstanding = List.length lookups; finish = at; decided_by = 0 }
+  in
   List.iter
     (fun (identifier, hops) ->
-      let owner = System.owner_of_identifier t.system identifier in
-      let owner_id = Peer.id owner in
-      let arrival = at +. route_delay t hops in
-      Simnet.Engine.schedule t.engine ~at:arrival (fun engine ->
-          (* FIFO service at the owner. *)
-          let free =
-            Option.value (Hashtbl.find_opt t.busy_until owner_id) ~default:0.0
-          in
-          let start = Float.max free (Simnet.Engine.now engine) in
-          let done_at = start +. t.latency.service_ms in
-          Hashtbl.replace t.busy_until owner_id done_at;
-          Hashtbl.replace t.service_total owner_id
-            (t.latency.service_ms
-            +. Option.value (Hashtbl.find_opt t.service_total owner_id) ~default:0.0);
-          (* Direct reply to the requester. *)
-          let reply_at = done_at +. message_delay t in
-          Simnet.Engine.schedule engine ~at:reply_at (fun _ ->
-              if reply_at > !finish_at then finish_at := reply_at;
-              decr outstanding;
-              if !outstanding = 0 then
-                t.completed <- (at, !finish_at -. at) :: t.completed)))
+      let owner = Peer.id (System.owner_of_identifier t.system identifier) in
+      let time = at +. route_delay t hops in
+      t.pending <- { time; owner; query } :: t.pending)
     lookups
 
-let run ?until t = Simnet.Engine.run ?until t.engine
+let run t =
+  (* Owners serve in arrival order, ties in submission order. *)
+  let arrivals =
+    List.stable_sort
+      (fun a b -> Float.compare a.time b.time)
+      (List.rev t.pending)
+  in
+  t.pending <- [];
+  let finished = ref [] in
+  List.iteri
+    (fun served { time; owner; query } ->
+      (* FIFO service at the owner, then a direct reply to the requester. *)
+      let free = Option.value (Hashtbl.find_opt t.busy_until owner) ~default:0.0 in
+      let done_at = Float.max free time +. t.latency.service_ms in
+      Hashtbl.replace t.busy_until owner done_at;
+      Hashtbl.replace t.service_total owner
+        (t.latency.service_ms
+        +. Option.value (Hashtbl.find_opt t.service_total owner) ~default:0.0);
+      let reply_at = done_at +. message_delay t in
+      t.clock <- Float.max t.clock reply_at;
+      if reply_at >= query.finish then begin
+        query.finish <- reply_at;
+        query.decided_by <- served
+      end;
+      query.outstanding <- query.outstanding - 1;
+      if query.outstanding = 0 then finished := query :: !finished)
+    arrivals;
+  (* A query completes at its latest reply; simultaneous completions keep
+     the order in which their deciding lookups were served. *)
+  List.sort
+    (fun a b ->
+      match Float.compare a.finish b.finish with
+      | 0 -> Int.compare a.decided_by b.decided_by
+      | c -> c)
+    !finished
+  |> List.iter (fun q ->
+         t.completed <- (q.submitted, q.finish -. q.submitted) :: t.completed)
 
 let completed t = List.rev t.completed
 

@@ -1,4 +1,5 @@
-(** Discrete-event timing layer over the query protocol.
+(** Timed replay of the query protocol: the library's one model of simulated
+    milliseconds (the fault plane decides delivery only).
 
     {!System} counts hops and messages; this module turns them into
     latencies. Each identifier lookup is modelled as [hops] sequential
@@ -7,6 +8,10 @@
     to the requester; a query completes when the slowest of its [l] lookups
     replies. Store evolution is delegated to {!System.query} at submission
     time, so match results equal the untimed protocol's exactly.
+
+    Arrivals are replayed by one stable sort: owners serve them in time
+    order, simultaneous arrivals in submission order, and reply jitter is
+    drawn in that serving order.
 
     The point of modelling per-peer queues: identifier clustering makes a
     few peers serve nearly all lookups, so under load the cluster owners
@@ -28,15 +33,19 @@ val create : ?latency:latency_model -> system:System.t -> seed:int64 -> unit -> 
 (** Wraps a system. The seed drives jitter only. *)
 
 val submit : t -> at:float -> from:Peer.t -> Rangeset.Range.t -> unit
-(** Schedules one query's protocol starting at simulated time [at] (ms) and
-    runs the cache-updating match via {!System.query} immediately.
-    @raise Invalid_argument if [at] is in the simulated past. *)
+(** Records one query's lookup arrivals, starting at simulated time [at]
+    (ms), and runs the cache-updating match via {!System.query}
+    immediately.
+    @raise Invalid_argument, before running the query, if [at] is earlier
+    than the latest instant a {!run} has replayed. *)
 
-val run : ?until:float -> t -> unit
-(** Drains scheduled events (or up to [until], in ms). *)
+val run : t -> unit
+(** Replays every arrival submitted since the last run. *)
 
 val completed : t -> (float * float) list
-(** [(submit_time, latency_ms)] per finished query, in completion order. *)
+(** [(submit_time, latency_ms)] per finished query, in completion order:
+    by finish time, ties in the order their deciding lookups were
+    served. *)
 
 val busiest_peer : t -> (string * float) option
 (** The peer with the most accumulated service time, and that time (ms) —

@@ -4,26 +4,11 @@ type partition_event = { groups : int list list; at : int; heal_at : int option 
 
 type spec = {
   drop : float;
-  delay : float;
-  delay_ms : float;
-  laggard_fraction : float;
-  laggard_ms : float;
-  base_ms : float;
   crashes : crash list;
   partitions : partition_event list;
 }
 
-let no_faults =
-  {
-    drop = 0.0;
-    delay = 0.0;
-    delay_ms = 50.0;
-    laggard_fraction = 0.0;
-    laggard_ms = 100.0;
-    base_ms = 1.0;
-    crashes = [];
-    partitions = [];
-  }
+let no_faults = { drop = 0.0; crashes = []; partitions = [] }
 
 (* Validation speaks the structured error type of the public surface
    ([P2prange.Error] re-exports it), with the offending field in the
@@ -32,20 +17,6 @@ let reject ~field ~value message =
   P2perror.raise_error
     ~context:[ ("field", field); ("value", value) ]
     P2perror.Invalid_config message
-
-let probability name p =
-  if not (p >= 0.0 && p <= 1.0) then
-    reject
-      ~field:("faults." ^ name)
-      ~value:(string_of_float p)
-      (Printf.sprintf "Faults: %s must be in [0, 1]" name)
-
-let latency name v =
-  if v < 0.0 then
-    reject
-      ~field:("faults." ^ name)
-      ~value:(string_of_float v)
-      "Faults: latencies must be non-negative"
 
 let validate_groups groups =
   let seen = Hashtbl.create 16 in
@@ -65,12 +36,9 @@ let validate_groups groups =
     groups
 
 let validate_spec s =
-  probability "drop" s.drop;
-  probability "delay" s.delay;
-  probability "laggard_fraction" s.laggard_fraction;
-  latency "delay_ms" s.delay_ms;
-  latency "laggard_ms" s.laggard_ms;
-  latency "base_ms" s.base_ms;
+  if not (s.drop >= 0.0 && s.drop <= 1.0) then
+    reject ~field:"faults.drop" ~value:(string_of_float s.drop)
+      "Faults: drop must be in [0, 1]";
   List.iter
     (fun (c : crash) ->
       if c.at < 0 then
@@ -97,9 +65,7 @@ let validate_spec s =
 
 type t = {
   spec : spec;
-  rng : Prng.Splitmix.t;  (* per-message drop/delay/jitter draws *)
-  laggard_salt : int64;  (* per-node laggard status, stream-free *)
-  laggards : (int, bool) Hashtbl.t;
+  rng : Prng.Splitmix.t;  (* per-message drop draws, one per retry *)
   (* node -> crash windows [at, recover_at); None = never recovers. The
      head is the most recently added window, consulted first so dynamic
      [recover] can close it. *)
@@ -114,7 +80,6 @@ type t = {
 
 let m_sends = Obs.Metrics.counter "faults.sends"
 let m_drops = Obs.Metrics.counter "faults.drops"
-let m_delayed = Obs.Metrics.counter "faults.delayed"
 let m_unreachable = Obs.Metrics.counter "faults.unreachable"
 let m_partitioned = Obs.Metrics.counter "faults.partitioned"
 let m_retries = Obs.Metrics.counter "faults.retries"
@@ -139,8 +104,6 @@ let create ?(spec = no_faults) ~seed () =
   {
     spec;
     rng;
-    laggard_salt = Prng.Splitmix.next_int64 (Prng.Splitmix.create seed);
-    laggards = Hashtbl.create 16;
     crashes;
     cuts =
       List.map
@@ -217,25 +180,7 @@ let recover t node =
     Hashtbl.replace t.crashes node closed;
     Obs.Series.mark_i "faults.recover" "node" node
 
-(* Laggard status is a pure function of (seed, node) — memoized, and drawn
-   from a throwaway generator so it never perturbs the per-message
-   stream. *)
-let laggard t node =
-  t.spec.laggard_fraction > 0.0
-  &&
-  match Hashtbl.find_opt t.laggards node with
-  | Some l -> l
-  | None ->
-    let g =
-      Prng.Splitmix.create
-        (Int64.logxor t.laggard_salt
-           (Int64.mul (Int64.of_int (node + 1)) 0x9E3779B97F4A7C15L))
-    in
-    let l = Prng.Splitmix.float g < t.spec.laggard_fraction in
-    Hashtbl.replace t.laggards node l;
-    l
-
-type outcome = Delivered of float | Dropped | Unreachable
+type outcome = Delivered | Dropped | Unreachable
 
 let send t ~src ~dst =
   Obs.Metrics.incr m_sends;
@@ -253,31 +198,20 @@ let send t ~src ~dst =
     Obs.Metrics.incr m_drops;
     Dropped
   end
-  else begin
-    let lat = t.spec.base_ms in
-    let lat = if laggard t dst then lat +. t.spec.laggard_ms else lat in
-    let lat =
-      if t.spec.delay > 0.0 && Prng.Splitmix.float t.rng < t.spec.delay then begin
-        Obs.Metrics.incr m_delayed;
-        lat +. t.spec.delay_ms
-      end
-      else lat
-    in
-    Delivered lat
-  end
+  else Delivered
 
 (* A request across [legs] overlay hops: [legs] independent [send] draws,
-   failing at the first lost leg; latencies accumulate. *)
-let send_route t ~src ~dst ~legs =
+   failing at the first lost leg. *)
+let route_delivered t ~src ~dst ~legs =
   if legs < 1 then invalid_arg "Faults.rpc: legs must be >= 1";
-  let rec walk i acc =
-    if i > legs then Delivered acc
-    else
-      match send t ~src ~dst with
-      | Delivered lat -> walk (i + 1) (acc +. lat)
-      | (Dropped | Unreachable) as failure -> failure
+  let rec walk i =
+    i > legs
+    ||
+    match send t ~src ~dst with
+    | Delivered -> walk (i + 1)
+    | Dropped | Unreachable -> false
   in
-  walk 1 0.0
+  walk 1
 
 let rpc t ~retry ~src ~dst ?(legs = 1) () =
   (* Tracing here must stay out of the PRNG: every draw below happens in
@@ -286,46 +220,25 @@ let rpc t ~retry ~src ~dst ?(legs = 1) () =
       Obs.Trace.set_int "src" src;
       Obs.Trace.set_int "dst" dst;
       Obs.Trace.set_int "legs" legs;
-      let finish i outcome =
+      let finish i ok =
+        if not ok then Obs.Metrics.incr m_timeouts;
         Obs.Trace.set_int "attempts" i;
-        (match outcome with
-        | Ok elapsed ->
-          Obs.Trace.set_bool "ok" true;
-          Obs.Trace.set_float "elapsed_ms" elapsed
-        | Error elapsed ->
-          Obs.Trace.set_bool "ok" false;
-          Obs.Trace.set_float "elapsed_ms" elapsed);
-        outcome
+        Obs.Trace.set_bool "ok" ok;
+        ok
       in
-      let rec attempt i elapsed =
-        match send_route t ~src ~dst ~legs with
-        | Delivered lat ->
-          let elapsed = elapsed +. lat in
-          if elapsed > retry.Retry.budget_ms then begin
-            Obs.Metrics.incr m_timeouts;
-            finish i (Error elapsed)
-          end
-          else finish i (Ok elapsed)
-        | Dropped | Unreachable ->
-          if i >= retry.Retry.max_attempts then begin
-            Obs.Metrics.incr m_timeouts;
-            finish i (Error elapsed)
-          end
-          else begin
-            let wait =
-              Retry.backoff_ms retry ~attempt:i
-                ~jitter:(Prng.Splitmix.float t.rng)
-            in
-            Obs.Trace.event_if "retry.backoff" "attempt" i "wait_ms" wait;
-            let elapsed = elapsed +. wait in
-            if elapsed > retry.Retry.budget_ms then begin
-              Obs.Metrics.incr m_timeouts;
-              finish i (Error elapsed)
-            end
-            else begin
-              Obs.Metrics.incr m_retries;
-              attempt (i + 1) elapsed
-            end
-          end
+      let rec attempt i =
+        if route_delivered t ~src ~dst ~legs then finish i true
+        else if i >= retry.Retry.max_attempts then finish i false
+        else begin
+          (* Each retry takes one draw from the stream and discards it.
+             The recorded fault runs (bench [faults] and [chaos], the
+             churn example, perfbench [churn-rw]) are seeded with this
+             draw in the stream: removing it would shift every later drop
+             decision and change their answers. *)
+          ignore (Prng.Splitmix.float t.rng : float);
+          Obs.Trace.event_i "retry" "attempt" i;
+          Obs.Metrics.incr m_retries;
+          attempt (i + 1)
+        end
       in
-      attempt 1 0.0)
+      attempt 1)

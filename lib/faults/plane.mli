@@ -1,18 +1,17 @@
 (** Seeded, fully deterministic fault injection for simulated RPCs.
 
-    A plane sits at every message boundary of the simulators: each [send]
-    consults per-message drop and delay probabilities, per-node
-    crash/recover schedules over a logical clock ([tick] advances it once
-    per protocol operation), and a stable set of persistently slow
-    ("laggard") nodes. All randomness comes from one SplitMix64 stream
-    created from the seed, so a run replays bit-identically; laggard
-    status is a pure function of (seed, node) and consumes nothing from
-    the stream.
+    A plane sits at the message boundary of the query system: each [send]
+    decides whether one message is delivered, from a per-message drop
+    probability and per-node crash/recover and partition schedules over a
+    logical clock ([tick] advances it once per protocol operation). It
+    decides delivery only; simulated milliseconds are the timed replay's
+    ([Timed]) alone. All randomness comes from one SplitMix64 stream
+    created from the seed, so a run replays bit-identically.
 
     Everything is observable through [Obs] counters ([faults.sends],
-    [faults.drops], [faults.delayed], [faults.unreachable],
-    [faults.partitioned], [faults.retries], [faults.timeouts]). With
-    {!no_faults} the plane delivers every message at [base_ms]. *)
+    [faults.drops], [faults.unreachable], [faults.partitioned],
+    [faults.retries], [faults.timeouts]). With {!no_faults} the plane
+    delivers every message. *)
 
 type crash = {
   node : int;  (** the node (Chord id or physical peer id) that crashes *)
@@ -30,25 +29,19 @@ type partition_event = {
 
 type spec = {
   drop : float;  (** per-message drop probability *)
-  delay : float;  (** per-message probability of a slow delivery *)
-  delay_ms : float;  (** extra latency of a delayed message *)
-  laggard_fraction : float;  (** fraction of nodes persistently slow *)
-  laggard_ms : float;  (** extra latency of every message to a laggard *)
-  base_ms : float;  (** latency of a normal delivery *)
   crashes : crash list;  (** scheduled crash/recover windows *)
   partitions : partition_event list;  (** scheduled network partitions *)
 }
 
 val no_faults : spec
-(** Nothing injected: no drops, no delays, no laggards, no crashes, no
-    partitions. *)
+(** Nothing injected: no drops, no crashes, no partitions. *)
 
 val validate_spec : spec -> unit
 (** @raise P2perror.Error ([Invalid_config], context naming the offending
-    [faults.*] field) on probabilities outside [0, 1], negative latencies,
-    crash windows that recover before they start, empty partition groups,
-    a node in two groups of one event, or partition windows that heal
-    before they start. *)
+    [faults.*] field) on a drop probability outside [0, 1], crash windows
+    that recover before they start, empty partition groups, a node in two
+    groups of one event, or partition windows that heal before they
+    start. *)
 
 type t
 
@@ -97,35 +90,24 @@ val heal : t -> unit
 val partitioned : t -> src:int -> dst:int -> bool
 (** Whether an active cut separates the two nodes right now. *)
 
-val laggard : t -> int -> bool
-(** Whether the node is persistently slow under this seed. *)
-
 (** {1 Messages} *)
 
 type outcome =
-  | Delivered of float  (** delivered after this many simulated ms *)
+  | Delivered
   | Dropped  (** lost in flight *)
   | Unreachable  (** destination crashed or across a partition cut *)
 
 val send : t -> src:int -> dst:int -> outcome
-(** One message. Draws drop (and, when configured, delay) decisions from
-    the plane's stream; a crashed or partitioned-away destination is
-    [Unreachable] without consuming a draw. *)
+(** One message. Draws its drop decision from the plane's stream; a
+    crashed or partitioned-away destination is [Unreachable] without
+    consuming a draw. *)
 
 val rpc :
-  t ->
-  retry:Retry.policy ->
-  src:int ->
-  dst:int ->
-  ?legs:int ->
-  unit ->
-  (float, float) result
+  t -> retry:Retry.policy -> src:int -> dst:int -> ?legs:int -> unit -> bool
 (** A complete RPC under the retry policy. Each attempt is a request
     that crosses [legs] (default 1) overlay hops: [legs] independent
-    {!send} draws, failing at the first lost leg, latencies accumulating.
-    Attempts repeat up to [max_attempts] times with capped exponential
-    backoff (jitter drawn from the plane's stream), giving up when
-    attempts or the time budget run out. [Ok elapsed_ms] on delivery,
-    [Error elapsed_ms] on timeout. Retries and timeouts are counted on
-    [faults.retries] / [faults.timeouts].
+    {!send} draws, failing at the first lost leg. True when some attempt,
+    out of at most [max_attempts], delivers every leg. Each retry draws
+    one value from the plane's stream. Retries and failed RPCs are
+    counted on [faults.retries] / [faults.timeouts].
     @raise Invalid_argument if [legs < 1]. *)

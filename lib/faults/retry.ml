@@ -1,61 +1,15 @@
-type policy = {
-  max_attempts : int;
-  base_backoff_ms : float;
-  max_backoff_ms : float;
-  budget_ms : float;
-}
+type policy = { max_attempts : int }
 
-let none =
-  {
-    max_attempts = 1;
-    base_backoff_ms = 0.0;
-    max_backoff_ms = 0.0;
-    budget_ms = Float.infinity;
-  }
-
-let default =
-  {
-    max_attempts = 4;
-    base_backoff_ms = 5.0;
-    max_backoff_ms = 80.0;
-    budget_ms = 500.0;
-  }
+let none = { max_attempts = 1 }
+let default = { max_attempts = 4 }
 
 (* Validation speaks the structured error type of the public surface
    ([P2prange.Error] re-exports it), with the offending field in the
    context — same convention as [Config.validate]. *)
-let reject ~field ~value message =
-  P2perror.raise_error
-    ~context:[ ("field", field); ("value", value) ]
-    P2perror.Invalid_config message
-
 let validate p =
   if p.max_attempts < 1 then
-    reject ~field:"retry.max_attempts"
-      ~value:(string_of_int p.max_attempts)
-      "Retry: max_attempts must be >= 1";
-  if p.base_backoff_ms < 0.0 then
-    reject ~field:"retry.base_backoff_ms"
-      ~value:(string_of_float p.base_backoff_ms)
-      "Retry: base_backoff_ms must be non-negative";
-  if p.max_backoff_ms < p.base_backoff_ms then
-    reject ~field:"retry.max_backoff_ms"
-      ~value:(string_of_float p.max_backoff_ms)
-      "Retry: max_backoff_ms must be >= base_backoff_ms";
-  if not (p.budget_ms > 0.0) then
-    reject ~field:"retry.budget_ms"
-      ~value:(string_of_float p.budget_ms)
-      "Retry: budget_ms must be positive"
-
-(* Capped exponential with deterministic jitter: the caller supplies the
-   jitter draw (uniform in [0, 1)) so backoff consumes no hidden
-   randomness. Attempt 1 waits the base, attempt i waits base * 2^(i-1),
-   capped, then scaled into [1/2, 1) of itself — full jitter would let two
-   consecutive backoffs invert, half jitter keeps them ordered. *)
-let backoff_ms p ~attempt ~jitter =
-  if attempt < 1 then invalid_arg "Retry.backoff_ms: attempt must be >= 1";
-  let exp =
-    p.base_backoff_ms *. (2.0 ** float_of_int (attempt - 1))
-  in
-  let capped = Float.min exp p.max_backoff_ms in
-  capped *. (0.5 +. (0.5 *. jitter))
+    P2perror.raise_error
+      ~context:
+        [ ("field", "retry.max_attempts");
+          ("value", string_of_int p.max_attempts) ]
+      P2perror.Invalid_config "Retry: max_attempts must be >= 1"

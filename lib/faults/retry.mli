@@ -1,32 +1,20 @@
-(** Retry/backoff policy for RPCs crossing the fault plane.
+(** Retry policy for RPCs crossing the fault plane.
 
-    A policy bounds both the number of delivery attempts and the total
-    wall-clock (simulated milliseconds) a lookup may spend on one contact,
-    so a crashed destination costs a bounded timeout instead of hanging a
-    query forever. Backoff is capped exponential with deterministic
-    jitter: the jitter draw comes from the caller's seeded PRNG stream, so
-    identical seeds replay identical schedules. *)
+    A policy bounds the number of delivery attempts per contact, so a
+    crashed destination costs a bounded number of tries instead of
+    hanging a query forever. *)
 
 type policy = {
   max_attempts : int;  (** total tries, including the first (>= 1) *)
-  base_backoff_ms : float;  (** wait before the first retry *)
-  max_backoff_ms : float;  (** cap on the exponential growth *)
-  budget_ms : float;  (** give up once elapsed time crosses this *)
 }
 
 val none : policy
-(** Exactly one attempt, no backoff, unbounded budget — fault injection
-    without recovery (the ablation baseline). *)
+(** Exactly one attempt — fault injection without recovery (the ablation
+    baseline). *)
 
 val default : policy
-(** 4 attempts, 5 ms base doubling to an 80 ms cap, 500 ms budget. *)
+(** 4 attempts. *)
 
 val validate : policy -> unit
 (** @raise P2perror.Error ([Invalid_config], context naming the
-    offending [retry.*] field) on a nonsensical policy. *)
-
-val backoff_ms : policy -> attempt:int -> jitter:float -> float
-(** [backoff_ms p ~attempt ~jitter] is the wait before retry number
-    [attempt] (1-based): [base * 2^(attempt-1)] capped at [max_backoff_ms]
-    and scaled by [0.5 + jitter/2] for [jitter] in [0, 1).
-    @raise Invalid_argument if [attempt < 1]. *)
+    [retry.max_attempts] field) when fewer than one attempt is allowed. *)

@@ -117,9 +117,6 @@ let event_i name k v = if !on then add_event name [ (k, Json.Int v) ]
 let event_ii name k1 v1 k2 v2 =
   if !on then add_event name [ (k1, Json.Int v1); (k2, Json.Int v2) ]
 
-let event_if name k1 v1 k2 v2 =
-  if !on then add_event name [ (k1, Json.Int v1); (k2, Json.Float v2) ]
-
 (* Read-side accessors (export, tests). *)
 
 let spans () = List.rev !all (* start order = id order *)

@@ -51,7 +51,6 @@ val event_i : string -> string -> int -> unit
 (** [event_i name k v] — instant event with one int attribute. *)
 
 val event_ii : string -> string -> int -> string -> int -> unit
-val event_if : string -> string -> int -> string -> float -> unit
 
 (** {1 Reading back} *)
 

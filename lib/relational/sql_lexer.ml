@@ -60,7 +60,10 @@ let tokenize input =
     let text = String.sub input start (stop - start) in
     let token =
       if is_float then Sql_token.Float_lit (float_of_string text)
-      else Sql_token.Int_lit (int_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some v -> Sql_token.Int_lit v
+        | None -> fail start "integer literal %s is out of range" text
     in
     (token, stop)
   in

@@ -10,4 +10,5 @@ exception Error of { position : int; message : string }
 
 val tokenize : string -> Sql_token.t list
 (** The token stream, always terminated by [Eof].
-    @raise Error on malformed input. *)
+    @raise Error on malformed input, including an integer literal outside
+    [int]'s range. *)

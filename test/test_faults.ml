@@ -1,17 +1,17 @@
-(* The deterministic fault plane: seeded replay, drop/delay/laggard/crash
-   semantics, retry/backoff arithmetic and config validation. *)
+(* The deterministic fault plane: seeded replay, drop/crash/partition
+   semantics, retried rpcs and config validation. *)
 
 module Plane = Faults.Plane
 module Retry = Faults.Retry
 module Err = P2prange.Error
 
 let outcome_label = function
-  | Plane.Delivered _ -> "delivered"
+  | Plane.Delivered -> "delivered"
   | Plane.Dropped -> "dropped"
   | Plane.Unreachable -> "unreachable"
 
 let same_seed_replays_bit_identically () =
-  let spec = { Plane.no_faults with drop = 0.3; delay = 0.2; delay_ms = 7.0 } in
+  let spec = { Plane.no_faults with drop = 0.3 } in
   let a = Plane.create ~spec ~seed:11L () in
   let b = Plane.create ~spec ~seed:11L () in
   for i = 0 to 499 do
@@ -19,7 +19,7 @@ let same_seed_replays_bit_identically () =
     let ob = Plane.send b ~src:0 ~dst:(i mod 17) in
     let same =
       match (oa, ob) with
-      | Plane.Delivered la, Plane.Delivered lb -> la = lb
+      | Plane.Delivered, Plane.Delivered -> true
       | Plane.Dropped, Plane.Dropped -> true
       | Plane.Unreachable, Plane.Unreachable -> true
       | _ -> false
@@ -33,8 +33,7 @@ let drop_extremes () =
   let never = Plane.create ~seed:1L () in
   for i = 0 to 99 do
     match Plane.send never ~src:0 ~dst:i with
-    | Plane.Delivered lat ->
-      Alcotest.(check (float 0.0)) "base latency" 1.0 lat
+    | Plane.Delivered -> ()
     | o -> Alcotest.failf "drop=0 lost a message (%s)" (outcome_label o)
   done;
   let always =
@@ -89,50 +88,13 @@ let dynamic_crash_and_recover () =
     (Invalid_argument "Faults.crash: recover_at must be in the future")
     (fun () -> Plane.crash p ~recover_at:(Plane.now p) 3)
 
-let laggards_are_a_pure_function_of_seed () =
-  let spec = { Plane.no_faults with laggard_fraction = 0.5; laggard_ms = 9.0 } in
-  let a = Plane.create ~spec ~seed:21L () in
-  let b = Plane.create ~spec ~seed:21L () in
-  let some_laggard = ref false and some_fast = ref false in
-  for node = 0 to 63 do
-    Alcotest.(check bool)
-      (Printf.sprintf "node %d agrees across planes" node)
-      (Plane.laggard a node) (Plane.laggard b node);
-    if Plane.laggard a node then some_laggard := true else some_fast := true
-  done;
-  Alcotest.(check bool) "fraction 0.5 marks some nodes" true !some_laggard;
-  Alcotest.(check bool) "fraction 0.5 spares some nodes" true !some_fast;
-  (* Status must not depend on how much the message stream was consumed. *)
-  let c = Plane.create ~spec ~seed:21L () in
-  for i = 0 to 99 do
-    ignore (Plane.send c ~src:0 ~dst:(i mod 5) : Plane.outcome)
-  done;
-  for node = 0 to 63 do
-    Alcotest.(check bool)
-      (Printf.sprintf "node %d unaffected by stream position" node)
-      (Plane.laggard a node) (Plane.laggard c node)
-  done;
-  (* Laggard deliveries pay the surcharge. *)
-  let slow_node =
-    let rec find n = if Plane.laggard a n then n else find (n + 1) in
-    find 0
-  in
-  match Plane.send a ~src:0 ~dst:slow_node with
-  | Plane.Delivered lat ->
-    Alcotest.(check (float 0.0)) "base + laggard latency" 10.0 lat
-  | o -> Alcotest.failf "laggard send lost (%s)" (outcome_label o)
-
 let rpc_retries_recover_drops () =
   let spec = { Plane.no_faults with drop = 0.5 } in
   let p = Plane.create ~spec ~seed:7L () in
-  let retry = { Retry.default with max_attempts = 8 } in
+  let retry = { Retry.max_attempts = 8 } in
   let delivered = ref 0 and n = 200 in
   for _ = 1 to n do
-    match Plane.rpc p ~retry ~src:0 ~dst:1 () with
-    | Ok elapsed ->
-      incr delivered;
-      Alcotest.(check bool) "elapsed positive" true (elapsed > 0.0)
-    | Error _ -> ()
+    if Plane.rpc p ~retry ~src:0 ~dst:1 () then incr delivered
   done;
   (* 8 attempts at 50% loss: ~0.4% residual failure. *)
   Alcotest.(check bool)
@@ -143,9 +105,7 @@ let rpc_retries_recover_drops () =
   let single = Plane.create ~spec ~seed:7L () in
   let lone = ref 0 in
   for _ = 1 to n do
-    match Plane.rpc single ~retry:Retry.none ~src:0 ~dst:1 () with
-    | Ok _ -> incr lone
-    | Error _ -> ()
+    if Plane.rpc single ~retry:Retry.none ~src:0 ~dst:1 () then incr lone
   done;
   Alcotest.(check bool)
     (Printf.sprintf "single attempt loses many (%d/%d)" !lone n)
@@ -155,36 +115,55 @@ let rpc_retries_recover_drops () =
 let rpc_respects_attempts_and_crashes () =
   let p = Plane.create ~seed:8L () in
   Plane.crash p 5;
-  (match Plane.rpc p ~retry:Retry.default ~src:0 ~dst:5 () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "rpc to a crashed node succeeded");
+  if Plane.rpc p ~retry:Retry.default ~src:0 ~dst:5 () then
+    Alcotest.fail "rpc to a crashed node succeeded";
   (* Multi-leg requests multiply the loss chance but still deliver on a
      clean plane. *)
-  match Plane.rpc p ~retry:Retry.none ~src:0 ~dst:1 ~legs:4 () with
-  | Ok elapsed -> Alcotest.(check (float 0.0)) "4 legs at base" 4.0 elapsed
-  | Error _ -> Alcotest.fail "clean 4-leg rpc failed"
+  Alcotest.(check bool) "clean 4-leg rpc delivers" true
+    (Plane.rpc p ~retry:Retry.none ~src:0 ~dst:1 ~legs:4 ())
 
-let backoff_arithmetic () =
-  let p =
-    {
-      Retry.max_attempts = 5;
-      base_backoff_ms = 5.0;
-      max_backoff_ms = 80.0;
-      budget_ms = 500.0;
-    }
+(* The plane's seeded stream, pinned: 1 000 rpcs at 50 % loss alternating
+   a single attempt with the default policy over 1-3 legs, then 100 plain
+   sends from where that left the stream. Every draw of a send and of a
+   retry moves the delivery digest or the trailing outcomes. *)
+let rpc_stream_is_pinned () =
+  let p = Plane.create ~spec:{ Plane.no_faults with drop = 0.5 } ~seed:7L () in
+  let m_retries = Obs.Metrics.counter "faults.retries" in
+  let m_timeouts = Obs.Metrics.counter "faults.timeouts" in
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let retries0 = Obs.Metrics.counter_value m_retries in
+  let timeouts0 = Obs.Metrics.counter_value m_timeouts in
+  let fates = Buffer.create 1000 in
+  for i = 0 to 999 do
+    let retry = if i mod 2 = 0 then Retry.none else Retry.default in
+    let ok =
+      Plane.rpc p ~retry ~src:0 ~dst:(1 + (i mod 7)) ~legs:(1 + (i mod 3)) ()
+    in
+    Buffer.add_char fates (if ok then '1' else '0')
+  done;
+  let retries = Obs.Metrics.counter_value m_retries - retries0 in
+  let timeouts = Obs.Metrics.counter_value m_timeouts - timeouts0 in
+  if not was_enabled then Obs.Metrics.disable ();
+  let fates = Buffer.contents fates in
+  let delivered = String.fold_left (fun n c -> if c = '1' then n + 1 else n) 0 fates in
+  Alcotest.(check int) "delivered" 475 delivered;
+  Alcotest.(check string) "delivery digest" "6ed97af85417f05b29fcb92f61bb8439"
+    (Digest.to_hex (Digest.string fates));
+  Alcotest.(check int) "faults.retries delta" 789 retries;
+  Alcotest.(check int) "faults.timeouts delta" 525 timeouts;
+  let next =
+    String.concat ""
+      (List.init 100 (fun i ->
+           match Plane.send p ~src:0 ~dst:(1 + (i mod 7)) with
+           | Plane.Delivered -> "d"
+           | Plane.Dropped -> "x"
+           | Plane.Unreachable -> "u"))
   in
-  (* jitter = 1.0 keeps the full capped-exponential value. *)
-  Alcotest.(check (float 1e-9)) "attempt 1" 5.0
-    (Retry.backoff_ms p ~attempt:1 ~jitter:1.0);
-  Alcotest.(check (float 1e-9)) "attempt 2 doubles" 10.0
-    (Retry.backoff_ms p ~attempt:2 ~jitter:1.0);
-  Alcotest.(check (float 1e-9)) "attempt 5 caps at 80" 80.0
-    (Retry.backoff_ms p ~attempt:5 ~jitter:1.0);
-  Alcotest.(check (float 1e-9)) "jitter 0 halves" 2.5
-    (Retry.backoff_ms p ~attempt:1 ~jitter:0.0);
-  Alcotest.check_raises "attempt must be >= 1"
-    (Invalid_argument "Retry.backoff_ms: attempt must be >= 1") (fun () ->
-      ignore (Retry.backoff_ms p ~attempt:0 ~jitter:0.5 : float))
+  Alcotest.(check string) "next 100 sends"
+    ("ddxxdxdxxdxdxxddxxddxxxdddxdddxxdddxxxxdxddxxxxxxxxdxddddxxdddxdxxdxdx"
+   ^ "ddxdxxdxddxdddxdxxxxxdxxdxddxx")
+    next
 
 let crashes_interleave_scheduled_and_dynamic () =
   (* Dynamic crash/recover composes with spec-scheduled windows on one
@@ -237,7 +216,7 @@ let scheduled_partitions_follow_the_clock () =
   let p = Plane.create ~spec ~seed:17L () in
   let deliverable src dst =
     match Plane.send p ~src ~dst with
-    | Plane.Delivered _ -> true
+    | Plane.Delivered -> true
     | Plane.Dropped | Plane.Unreachable -> false
   in
   Alcotest.(check bool) "whole before the cut" true (deliverable 1 3);
@@ -282,7 +261,7 @@ let dynamic_partition_and_heal () =
     (Plane.partitioned p ~src:0 ~dst:1
     || Plane.partitioned p ~src:0 ~dst:2);
   (match Plane.send p ~src:0 ~dst:1 with
-  | Plane.Delivered _ -> ()
+  | Plane.Delivered -> ()
   | o -> Alcotest.failf "healed send failed (%s)" (outcome_label o));
   Alcotest.check_raises "dynamic cuts are validated too"
     (Err.Error
@@ -295,9 +274,9 @@ let dynamic_partition_and_heal () =
 
 let partitions_consume_no_prng_draws () =
   (* A blocked send is decided before any draw, so a plane with an active
-     cut replays the same drop/delay stream as one without — interleaving
+     cut replays the same drop stream as one without — interleaving
      cross-cut sends must not shift subsequent outcomes. *)
-  let spec = { Plane.no_faults with drop = 0.4; delay = 0.3; delay_ms = 5.0 } in
+  let spec = { Plane.no_faults with drop = 0.4 } in
   let a = Plane.create ~spec ~seed:23L () in
   let b = Plane.create ~spec ~seed:23L () in
   Plane.partition b [ [ 5 ] ];
@@ -332,9 +311,6 @@ let validation_rejects_nonsense () =
   expect "drop > 1" "Faults: drop must be in [0, 1]"
     [ ("field", "faults.drop"); ("value", "1.5") ]
     (fun () -> Plane.validate_spec { Plane.no_faults with drop = 1.5 });
-  expect "negative latency" "Faults: latencies must be non-negative"
-    [ ("field", "faults.base_ms"); ("value", "-1.") ]
-    (fun () -> Plane.validate_spec { Plane.no_faults with base_ms = -1.0 });
   expect "inverted crash window" "Faults: recover_at must be after the crash time"
     [ ("field", "faults.crashes.recover_at"); ("value", "5") ]
     (fun () ->
@@ -380,10 +356,7 @@ let validation_rejects_nonsense () =
         });
   expect "zero attempts" "Retry: max_attempts must be >= 1"
     [ ("field", "retry.max_attempts"); ("value", "0") ]
-    (fun () -> Retry.validate { Retry.default with max_attempts = 0 });
-  expect "negative backoff" "Retry: base_backoff_ms must be non-negative"
-    [ ("field", "retry.base_backoff_ms"); ("value", "-1.") ]
-    (fun () -> Retry.validate { Retry.default with base_backoff_ms = -1.0 });
+    (fun () -> Retry.validate { Retry.max_attempts = 0 });
   (* Config.validate forwards the plane's error untouched — no re-wrap. *)
   Alcotest.check_raises "through Config.validate"
     (Err.Error
@@ -418,13 +391,12 @@ let suite =
       dynamic_partition_and_heal;
     Alcotest.test_case "partitions consume no PRNG draws" `Quick
       partitions_consume_no_prng_draws;
-    Alcotest.test_case "laggards are a pure function of the seed" `Quick
-      laggards_are_a_pure_function_of_seed;
     Alcotest.test_case "rpc retries recover drops" `Quick
       rpc_retries_recover_drops;
     Alcotest.test_case "rpc respects attempts and crashes" `Quick
       rpc_respects_attempts_and_crashes;
-    Alcotest.test_case "backoff arithmetic" `Quick backoff_arithmetic;
+    Alcotest.test_case "seeded rpc stream is pinned" `Quick
+      rpc_stream_is_pinned;
     Alcotest.test_case "validation rejects nonsense" `Quick
       validation_rejects_nonsense;
   ]

@@ -106,6 +106,21 @@ let parse_errors () =
   expect_error "select * from T where age between 30";
   expect_error "select * from T trailing"
 
+let oversized_int_literal () =
+  let literal = "9999999999999999999999" in
+  (match Sql.parse ("select * from Patient where 20 < " ^ literal) with
+  | _ -> Alcotest.fail "an out-of-range literal must not parse"
+  | exception Sql.Error message ->
+    Alcotest.(check string) "message names the literal and its offset"
+      ("lexical error at offset 33: integer literal " ^ literal
+     ^ " is out of range")
+      message);
+  let s = Sql.parse (Printf.sprintf "select * from T where age <= %d" max_int) in
+  match s.Relational.Sql_ast.conditions with
+  | [ Relational.Sql_ast.Cmp (_, _, Relational.Sql_ast.Lit (V.Int v)) ] ->
+    Alcotest.(check int) "max_int still parses" max_int v
+  | _ -> Alcotest.fail "expected one comparison against max_int"
+
 (* --- to_query on the paper's example --- *)
 
 let paper_sql =
@@ -240,6 +255,8 @@ let suite =
     Alcotest.test_case "parser: chained inclusive comparison" `Quick
       parse_chained_inclusive;
     Alcotest.test_case "parser: syntax errors" `Quick parse_errors;
+    Alcotest.test_case "parser: out-of-range integer literal" `Quick
+      oversized_int_literal;
     Alcotest.test_case "paper query builds" `Quick paper_query_builds;
     Alcotest.test_case "paper query pushes selections down" `Quick
       paper_query_pushes_down;

@@ -346,23 +346,18 @@ let faults_retry_trace () =
       | Some n -> Alcotest.(check bool) "attempts >= 1" true (n >= 1)
       | None -> Alcotest.fail "rpc span lacks an attempts attribute")
     rpcs;
-  let backoffs =
+  let retries =
     List.concat_map
-      (fun s ->
-        List.filter (fun (n, _, _) -> n = "retry.backoff") (T.span_events s))
+      (fun s -> List.filter (fun (n, _, _) -> n = "retry") (T.span_events s))
       rpcs
   in
-  Alcotest.(check bool) "at least one backoff recorded" true (backoffs <> []);
+  Alcotest.(check bool) "at least one retry recorded" true (retries <> []);
   List.iter
     (fun (_, _, attrs) ->
-      (match attr_int "attempt" attrs with
-      | Some a -> Alcotest.(check bool) "backoff attempt >= 1" true (a >= 1)
-      | None -> Alcotest.fail "backoff lacks an attempt attribute");
-      match List.assoc_opt "wait_ms" attrs with
-      | Some (J.Float w) ->
-        Alcotest.(check bool) "backoff wait is non-negative" true (w >= 0.0)
-      | _ -> Alcotest.fail "backoff lacks a wait_ms attribute")
-    backoffs
+      match attr_int "attempt" attrs with
+      | Some a -> Alcotest.(check bool) "retry attempt >= 1" true (a >= 1)
+      | None -> Alcotest.fail "retry lacks an attempt attribute")
+    retries
 
 (* Tracing must not consume PRNG draws: a traced run and an untraced run
    of the same seeded system must produce identical results. *)
