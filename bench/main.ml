@@ -653,9 +653,9 @@ let ablation_padding () =
       in
       let run = Simulation.run ~config ~n_peers:100 ~n_queries:5000 ~seed () in
       let mean_recall = mean (Simulation.recalls run) in
-      (* Recover the final padding level by replaying the policy: simplest
-         honest proxy is re-running the padding controller is internal, so
-         report the configured fraction for static policies. *)
+      (* The run does not expose the adaptive controller's last level, so
+         this column shows a static policy's configured fraction and
+         "adaptive" for the controller. *)
       let final =
         match padding with
         | Config.No_padding -> "0.00"
@@ -727,9 +727,9 @@ let ablation_eviction () =
         |> Config.with_matching Config.Containment_match
       in
       let run = Simulation.run ~config ~n_peers:100 ~n_queries:5000 ~seed () in
-      (* Recover eviction counts by replaying on a fresh system is
-         unnecessary: the run's outcomes already embed the effect; report
-         quality only, with evictions from a probe system. *)
+      (* The run reports no eviction count. The evictions column comes
+         from a probe system with the same config and 5000 queries from
+         its own uniform stream (seed 99), not from the run above. *)
       let evicted =
         let system = P2prange.System.create ~config ~seed ~n_peers:100 () in
         let rng = Prng.Splitmix.create 99L in
@@ -1512,71 +1512,8 @@ let engine_sql () =
     (2 * n_queries) !total_messages !total_fetches
 
 (* ------------------------------------------------------------------ *)
-(* Baselines: the other architectures of §1/§3.1                        *)
+(* Baseline: the flooding overlay §1 argues against                     *)
 (* ------------------------------------------------------------------ *)
-
-let baseline_can () =
-  (* CAN vs Chord as the DHT substrate: routing hops and per-node state at
-     N = 1000. Chord: O(log N) hops with 32 fingers; CAN: O((d/4)·N^(1/d))
-     hops with 2d-ish neighbours. *)
-  let n = 1000 and lookups = 2000 in
-  let table =
-    Stats.Table.create
-      ~columns:
-        [ ("substrate", Stats.Table.Left); ("mean hops", Stats.Table.Right);
-          ("theory", Stats.Table.Right);
-          ("avg routing entries", Stats.Table.Right) ]
-  in
-  (* Chord reference. *)
-  let rng = Prng.Splitmix.create seed in
-  let ring = Chord.Ring.random rng ~n in
-  let nodes = Chord.Ring.node_ids ring in
-  let total = ref 0 in
-  for _ = 1 to lookups do
-    let from = nodes.(Prng.Splitmix.int rng n) in
-    let key = Prng.Splitmix.int rng (1 lsl 32) in
-    let _, hops = Chord.Ring.lookup ring ~from ~key in
-    total := !total + hops
-  done;
-  Stats.Table.add_row table
-    [
-      "chord";
-      Printf.sprintf "%.2f" (float_of_int !total /. float_of_int lookups);
-      Printf.sprintf "%.2f (1/2 log2 N)" (0.5 *. (log (float_of_int n) /. log 2.0));
-      "32 fingers";
-    ];
-  List.iter
-    (fun dims ->
-      let net = Can.Network.create ~dims in
-      Can.Network.add_first net 0;
-      let rng = Prng.Splitmix.create seed in
-      for id = 1 to n - 1 do
-        Can.Network.join_random net id ~rng ~via:0
-      done;
-      let ids = Array.of_list (Can.Network.node_ids net) in
-      let total = ref 0 and neighbours = ref 0 in
-      Array.iter
-        (fun id -> neighbours := !neighbours + List.length (Can.Network.neighbours net id))
-        ids;
-      for _ = 1 to lookups do
-        let point = Array.init dims (fun _ -> Prng.Splitmix.float rng) in
-        let from = ids.(Prng.Splitmix.int rng n) in
-        match Can.Network.lookup net ~from ~point with
-        | Some (_, hops) -> total := !total + hops
-        | None -> ()
-      done;
-      Stats.Table.add_row table
-        [
-          Printf.sprintf "can d=%d" dims;
-          Printf.sprintf "%.2f" (float_of_int !total /. float_of_int lookups);
-          Printf.sprintf "%.2f (d/4 N^1/d)"
-            (float_of_int dims /. 4.0
-            *. (float_of_int n ** (1.0 /. float_of_int dims)));
-          Printf.sprintf "%.1f neighbours"
-            (float_of_int !neighbours /. float_of_int n);
-        ])
-    [ 2; 3; 4; 6 ];
-  Format.printf "%a" Stats.Table.pp table
 
 let baseline_unstructured () =
   (* Gnutella-style flooding with local caches vs the paper's LSH/DHT, on
@@ -2096,7 +2033,6 @@ let sections =
       "partition/heal/crash/recover soak with repair + invariants",
       chaos_bench );
     ("engine-sql", "SQL-over-P2P provenance split (§2/§6)", engine_sql);
-    ("baseline-can", "CAN vs Chord as the DHT substrate (§3.1)", baseline_can);
     ( "baseline-unstructured",
       "flooding overlay vs the LSH/DHT (§1)",
       baseline_unstructured );

@@ -42,8 +42,8 @@ let trace_t =
 let series_t =
   let doc =
     "Enable the metric-timeline plane and write the windowed series \
-     (logical-clock points and marks) to $(docv) (Prometheus text for .prom \
-     paths, JSONL otherwise; analyze with timeline.exe)."
+     (logical-clock points and marks) to $(docv) as JSONL (analyze with \
+     timeline.exe)."
   in
   Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
 

@@ -33,7 +33,6 @@ type inst = {
   bounds : float array; (* histograms: strictly increasing upper bounds *)
   buckets : int array; (* histograms: one per bound, plus overflow *)
   window : (string option, accum) Hashtbl.t; (* series: open window *)
-  run : (string option, accum) Hashtbl.t; (* series: whole run *)
 }
 
 type counter = inst
@@ -61,7 +60,6 @@ let register ?(label = "label") ?(bounds = [||]) kind name =
         bounds;
         buckets = Array.make (Array.length bounds + 1) 0;
         window = Hashtbl.create 8;
-        run = Hashtbl.create 8;
       }
     in
     Hashtbl.replace registry name i;
@@ -103,10 +101,7 @@ let slot tbl lv =
 
 let record i lv f x =
   if !planes land 1 <> 0 then f i.total x;
-  if !planes land 2 <> 0 && i.kind <> Wall_gauge then begin
-    f (slot i.window lv) x;
-    f (slot i.run lv) x
-  end
+  if !planes land 2 <> 0 && i.kind <> Wall_gauge then f (slot i.window lv) x
 
 let bump a k = a.c <- a.c + k
 
@@ -247,33 +242,25 @@ type sample =
   | Last of float
   | Summary of { n : int; sum : float; lo : float; hi : float }
 
-let samples table =
-  List.concat_map
-    (fun i ->
-      Hashtbl.fold (fun lv a acc -> (lv, a) :: acc) (table i) []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map (fun (lv, a) ->
-             let labels = match lv with None -> [] | Some v -> [ (i.key, v) ] in
-             let value =
-               match i.kind with
-               | Counter -> Count a.c
-               | Gauge | Wall_gauge -> Last a.sum
-               | Histogram ->
-                 Summary { n = a.n; sum = a.sum; lo = a.lo; hi = a.hi }
-             in
-             (i.name, labels, value)))
-    (sorted ())
+let reset_series () = Hashtbl.iter (fun _ i -> Hashtbl.reset i.window) registry
 
 let drain_windows () =
-  let drained = samples (fun i -> i.window) in
-  Hashtbl.iter (fun _ i -> Hashtbl.reset i.window) registry;
+  let drained =
+    List.concat_map
+      (fun i ->
+        Hashtbl.fold (fun lv a acc -> (lv, a) :: acc) i.window []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map (fun (lv, a) ->
+               let labels = match lv with None -> [] | Some v -> [ (i.key, v) ] in
+               let value =
+                 match i.kind with
+                 | Counter -> Count a.c
+                 | Gauge | Wall_gauge -> Last a.sum
+                 | Histogram ->
+                   Summary { n = a.n; sum = a.sum; lo = a.lo; hi = a.hi }
+               in
+               (i.name, labels, value)))
+      (sorted ())
+  in
+  reset_series ();
   drained
-
-let run_totals () = samples (fun i -> i.run)
-
-let reset_series () =
-  Hashtbl.iter
-    (fun _ i ->
-      Hashtbl.reset i.window;
-      Hashtbl.reset i.run)
-    registry

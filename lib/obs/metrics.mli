@@ -4,8 +4,8 @@
 
     - the {b snapshot} plane ({!enable}): run totals, dumped as JSON by
       {!snapshot} and zeroed by {!reset};
-    - the {b series} plane ({!Series.enable}): per-label windows and run
-      totals that {!Series} samples on its logical clock.
+    - the {b series} plane ({!Series.enable}): per-label open windows
+      that {!Series} samples on its logical clock.
 
     Design constraints, in order:
 
@@ -127,8 +127,5 @@ val drain_windows : unit -> (string * (string * string) list * sample) list
 (** Every open window as (instrument, label pairs, sample), sorted by
     instrument name then label value; the windows are cleared. *)
 
-val run_totals : unit -> (string * (string * string) list * sample) list
-(** The series run totals, in the same order. *)
-
 val reset_series : unit -> unit
-(** Clears every open window and series run total. *)
+(** Clears every open window. *)

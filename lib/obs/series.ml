@@ -195,74 +195,5 @@ let to_jsonl () =
   merge (points ()) (List.rev !marks);
   Buffer.contents buf
 
-(* Prometheus text exposition of the series run totals. *)
-
-let prom_name name =
-  let b = Bytes.of_string ("p2prange_" ^ name) in
-  Bytes.iteri
-    (fun i ch ->
-      match ch with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ()
-      | _ -> Bytes.set b i '_')
-    b;
-  Bytes.to_string b
-
-let prom_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
-let prom_labels = function
-  | [] -> ""
-  | pairs ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v)) pairs)
-    ^ "}"
-
-let prom_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let to_prometheus () =
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* Totals arrive grouped by instrument: one # TYPE line per group. *)
-  let previous = ref "" in
-  List.iter
-    (fun (metric, labels, value) ->
-      let base = prom_name metric and lbl = prom_labels labels in
-      let ty =
-        match value with
-        | Metrics.Count _ -> "counter"
-        | Metrics.Last _ -> "gauge"
-        | Metrics.Summary _ -> "summary"
-      in
-      if metric <> !previous then line "# TYPE %s %s\n" base ty;
-      previous := metric;
-      match value with
-      | Metrics.Count c -> line "%s%s %d\n" base lbl c
-      | Metrics.Last v -> line "%s%s %s\n" base lbl (prom_float v)
-      | Metrics.Summary s ->
-        line "%s_count%s %d\n" base lbl s.n;
-        line "%s_sum%s %s\n" base lbl (prom_float s.sum);
-        if s.n > 0 then begin
-          line "%s_min%s %s\n" base lbl (prom_float s.lo);
-          line "%s_max%s %s\n" base lbl (prom_float s.hi)
-        end)
-    (Metrics.run_totals ());
-  Buffer.contents buf
-
 let write path =
-  let data =
-    if Filename.check_suffix path ".prom" then to_prometheus () else to_jsonl ()
-  in
-  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_jsonl ()))

@@ -31,7 +31,7 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Clears clock, points, marks, open windows and series run totals;
+(** Clears clock, points, marks and open windows;
     {!Metrics} snapshot totals are untouched (see {!Metrics.reset}). *)
 
 (** {1 Configuration} *)
@@ -83,12 +83,5 @@ val to_jsonl : unit -> string
     tick first. Deterministic: instruments sort by name, label values
     lexicographically. *)
 
-val to_prometheus : unit -> string
-(** Prometheus-style text exposition of the series run totals (full-run
-    counter sums, last gauge values, histogram summary aggregates) with
-    [# TYPE] comments and label sets; names are dot-to-underscore
-    sanitized under a [p2prange_] prefix. *)
-
 val write : string -> unit
-(** Writes {!to_prometheus} when [path] ends in [.prom], else
-    {!to_jsonl}. *)
+(** Writes {!to_jsonl} to [path]. *)

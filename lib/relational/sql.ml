@@ -1,9 +1,8 @@
-exception Error of string
+exception Error = Sql_lexer.Error
 
 let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-let parse input =
-  try Sql_parser.parse input with Sql_parser.Error m -> raise (Error m)
+let parse = Sql_parser.parse
 
 (* --- name resolution --- *)
 
@@ -216,6 +215,8 @@ let to_query select ~lookup =
           | None -> fail "internal: unresolved projection %s.%s" table name)
         cols
     in
+    if List.length (List.sort_uniq String.compare names) <> List.length names then
+      fail "duplicate column in SELECT list";
     Query.project names !tree
 
 let parse_query input ~lookup = to_query (parse input) ~lookup

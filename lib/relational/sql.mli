@@ -17,12 +17,13 @@
 
     Restrictions (reported via {!Error}): every table after the first must
     be connected by an equi-join condition (no cross products), non-equi
-    joins are unsupported, and strict bounds require integer or date
-    literals. *)
+    joins are unsupported, strict bounds require integer or date literals,
+    and the SELECT list names each column once. *)
 
 exception Error of string
-(** Any front-end failure: lexing, parsing, unknown tables/columns,
-    ambiguous column references, type mismatches, unsupported shapes. *)
+(** {!Sql_lexer.Error} re-exported: any front-end failure (lexing, parsing,
+    unknown tables/columns, ambiguous column references, type mismatches,
+    unsupported shapes). *)
 
 val parse : string -> Sql_ast.select
 (** Syntax only. @raise Error. *)

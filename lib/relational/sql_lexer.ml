@@ -1,7 +1,10 @@
-exception Error of { position : int; message : string }
+exception Error of string
 
 let fail position fmt =
-  Format.kasprintf (fun message -> raise (Error { position; message })) fmt
+  Format.kasprintf
+    (fun m -> raise (Error m))
+    ("lexical error at offset %d: " ^^ fmt)
+    position
 
 let is_digit c = '0' <= c && c <= '9'
 let is_ident_start c = ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || c = '_'

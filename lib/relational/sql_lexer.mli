@@ -5,8 +5,10 @@
     literal; bare [yyyy-mm-dd] inside quotes is {e not} special (it stays a
     string), matching common SQL practice. *)
 
-exception Error of { position : int; message : string }
-(** Raised on malformed input; [position] is a 0-based byte offset. *)
+exception Error of string
+(** The SQL front-end's one exception: {!Sql_parser} and {!Sql} raise it
+    too. A lexical error's message names its 0-based byte offset:
+    ["lexical error at offset 33: ..."]. *)
 
 val tokenize : string -> Sql_token.t list
 (** The token stream, always terminated by [Eof].

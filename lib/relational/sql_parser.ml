@@ -1,6 +1,4 @@
-exception Error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
+let fail fmt = Format.kasprintf (fun s -> raise (Sql_lexer.Error s)) fmt
 
 type state = { mutable tokens : Sql_token.t list }
 
@@ -126,12 +124,7 @@ let condition st =
         (Sql_token.to_string (peek st)))
 
 let parse input =
-  let tokens =
-    try Sql_lexer.tokenize input
-    with Sql_lexer.Error { position; message } ->
-      fail "lexical error at offset %d: %s" position message
-  in
-  let st = { tokens } in
+  let st = { tokens = Sql_lexer.tokenize input } in
   expect st Sql_token.Select;
   let projection =
     match peek st with

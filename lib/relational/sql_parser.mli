@@ -19,8 +19,5 @@ literal   ::= integer | float | string | DATE 'yyyy-mm-dd'
     normalized into an inclusive BETWEEN; strict integer/date bounds are
     tightened by one ([30 < age] ⇒ [age >= 31]). *)
 
-exception Error of string
-
 val parse : string -> Sql_ast.select
-(** @raise Error on syntax errors (includes lexer errors, re-raised with
-    position information in the message). *)
+(** @raise Sql_lexer.Error on lexical and syntax errors. *)

@@ -223,6 +223,80 @@ let validation () =
            ~rangeable:[ (("Patient", "height"), mk 0 1) ]
            ()))
 
+(* The SQL boundary, by generation: valid SPJ statements over the
+   fixture, each mutated by one to three token deletions, insertions or
+   replacements and sometimes cut short. Whatever the text, execute_sql
+   answers or raises the front-end's one documented exception. *)
+
+let sql_statements =
+  List.map (String.split_on_char ' ')
+    [
+      "select name from Patient where 30 <= age <= 50";
+      "select * from Patient where age between 20 and 40";
+      "select Patient . name , diagnosis from Patient , Diagnosis where \
+       Patient . patient_id = Diagnosis . patient_id and diagnosis = 'Glaucoma'";
+      "select prescription from Patient , Diagnosis , Prescription where \
+       30 < age < 50 and Patient . patient_id = Diagnosis . patient_id and \
+       DATE '2000-01-01' <= date <= DATE '2002-12-31' and \
+       Diagnosis . prescription_id = Prescription . prescription_id";
+      "select date , prescription from Prescription where date >= DATE \
+       '2001-06-30'";
+    ]
+
+let sql_vocabulary =
+  [
+    "select"; "from"; "where"; "and"; "between"; "DATE"; "Patient";
+    "Diagnosis"; "Prescription"; "Nope"; "age"; "name"; "patient_id";
+    "diagnosis"; "date"; "prescription"; "prescription_id"; "=";
+    "<"; ">"; "<="; ">="; "*"; ","; "."; "("; ")"; "'"; "''"; "'Glaucoma'";
+    "'2000-01-01'"; "'2000-13'"; "#"; "30"; "2.5"; "9999999999999999999999";
+  ]
+
+(* A case is the mutated token list and an optional cut: the statement is
+   the tokens joined by spaces, truncated to the cut's length. *)
+let sql_text (tokens, cut) =
+  let text = String.concat " " tokens in
+  match cut with
+  | None -> text
+  | Some n -> String.sub text 0 (min n (String.length text))
+
+let sql_case_gen =
+  let open QCheck.Gen in
+  (* Delete the token at [at], insert a word before it, or replace it. *)
+  let mutate tokens =
+    let* at = int_bound (List.length tokens - 1) in
+    let* w = oneofl sql_vocabulary in
+    let* edit = oneofl [ (fun _ -> []); (fun t -> [ w; t ]); (fun _ -> [ w ]) ] in
+    return (List.concat (List.mapi (fun i t -> if i = at then edit t else [ t ]) tokens))
+  in
+  let* tokens = oneofl sql_statements in
+  let* k = int_range 1 3 in
+  let rec apply k tokens =
+    if k = 0 then return tokens else mutate tokens >>= apply (k - 1)
+  in
+  let* tokens = apply k tokens in
+  let length = String.length (String.concat " " tokens) in
+  let* cut = option ~ratio:0.25 (int_bound length) in
+  return (tokens, cut)
+
+let sql_case_shrink (tokens, cut) =
+  let open QCheck.Iter in
+  map (fun tokens -> (tokens, cut)) (QCheck.Shrink.list tokens)
+  <+> match cut with None -> empty | Some _ -> return (tokens, None)
+
+let prop_sql_boundary =
+  let engine = lazy (build ()) in
+  QCheck.Test.make ~name:"execute_sql answers or raises Sql.Error" ~count:2000
+    (QCheck.make ~print:(fun c -> Printf.sprintf "%S" (sql_text c))
+       ~shrink:sql_case_shrink sql_case_gen)
+    (fun case ->
+      let text = sql_text case in
+      match E.execute_sql (Lazy.force engine) ~from_name:"peer-0" text with
+      | (_ : E.answer) -> true
+      | exception Relational.Sql.Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%S escaped as %s" text (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "first run fetches from source and publishes" `Quick
@@ -239,4 +313,5 @@ let suite =
       no_selection_reads_full_relation;
     Alcotest.test_case "SQL interface" `Quick sql_interface;
     Alcotest.test_case "construction validation" `Quick validation;
+    QCheck_alcotest.to_alcotest prop_sql_boundary;
   ]

@@ -203,9 +203,7 @@ let wall_clock_stays_off_the_timeline () =
   Alcotest.(check (float 0.0)) "the snapshot plane recorded" 123.0
     (M.gauge_value g);
   Alcotest.(check bool) "absent from the JSONL" false
-    (contains (S.to_jsonl ()) "test.series.wall");
-  Alcotest.(check bool) "absent from the Prometheus text" false
-    (contains (S.to_prometheus ()) "test_series_wall")
+    (contains (S.to_jsonl ()) "test.series.wall")
 
 (* --- ring bound --- *)
 
@@ -412,31 +410,6 @@ let queries_unchanged_by_series () =
   Alcotest.(check bool) "the plane did record something" true
     (S.point_count () > 0 || S.now () > 0)
 
-(* --- prometheus exposition --- *)
-
-let prometheus_export () =
-  let c = M.counter ~label:"peer" "test.series.prom.c" in
-  let h = M.histogram "test.series.prom.h" in
-  M.incr1 c "peer-1";
-  M.incr1 c "peer-1";
-  M.incr1 c "peer-2";
-  M.observe h 2.0;
-  M.observe h 4.0;
-  ticks 4;
-  let text = S.to_prometheus () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (contains text needle))
-    [
-      "# TYPE p2prange_test_series_prom_c counter";
-      "p2prange_test_series_prom_c{peer=\"peer-1\"} 2";
-      "p2prange_test_series_prom_c{peer=\"peer-2\"} 1";
-      "# TYPE p2prange_test_series_prom_h summary";
-      "p2prange_test_series_prom_h_count 2";
-      "p2prange_test_series_prom_h_sum 6";
-    ]
-
 (* --- the Timeline change-point gates --- *)
 
 let dip_scenario () =
@@ -556,8 +529,6 @@ let suite =
       (isolated system_timeline_deterministic);
     Alcotest.test_case "enabling the plane never changes answers" `Quick
       (isolated queries_unchanged_by_series);
-    Alcotest.test_case "prometheus exposition" `Quick
-      (isolated prometheus_export);
     Alcotest.test_case "change-point dip gate" `Quick (isolated check_dip_gate);
     Alcotest.test_case "convergence gate" `Quick (isolated check_converge_gate);
     Alcotest.test_case "timeline rejects non-series input" `Quick

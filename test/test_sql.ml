@@ -50,11 +50,11 @@ let lex_errors () =
   (try
      ignore (Relational.Sql_lexer.tokenize "select 'oops");
      Alcotest.fail "unterminated string must raise"
-   with Relational.Sql_lexer.Error _ -> ());
+   with Sql.Error _ -> ());
   try
     ignore (Relational.Sql_lexer.tokenize "select #");
     Alcotest.fail "bad character must raise"
-  with Relational.Sql_lexer.Error _ -> ()
+  with Sql.Error _ -> ()
 
 (* --- parser --- *)
 
@@ -222,7 +222,10 @@ let resolution_errors () =
   expect_error
     "select * from Patient, Diagnosis where Patient.patient_id < Diagnosis.patient_id";
   (* strict bound on a string column *)
-  expect_error "select * from Patient where name < 'm'"
+  expect_error "select * from Patient where name < 'm'";
+  (* a column projected twice, written the same way or qualified once *)
+  expect_error "select age, age from Patient";
+  expect_error "select Patient.age, age from Patient"
 
 let qualified_disambiguation () =
   (* patient_id appears in two tables; qualification picks one side.
